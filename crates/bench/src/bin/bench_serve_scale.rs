@@ -656,4 +656,5 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("wrote {out_path}");
     let _ = std::fs::remove_file(&artifact_path);
+    em_obs::flush();
 }

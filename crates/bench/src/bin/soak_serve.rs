@@ -39,6 +39,7 @@ const RSS_SLACK_KB: u64 = 64 * 1024;
 
 fn fail(msg: &str) -> ! {
     eprintln!("soak: FAIL: {msg}");
+    em_obs::flush();
     std::process::exit(1);
 }
 
@@ -230,4 +231,5 @@ fn main() {
         stats.candidate_pairs,
     );
     let _ = std::fs::remove_dir_all(&dir);
+    em_obs::flush();
 }

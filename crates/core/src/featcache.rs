@@ -15,10 +15,12 @@
 //!    values is memoized under the key `(left value id) << 32 | right value
 //!    id`. A batch [`FeatureCache::generate`] first walks the pairs
 //!    serially to collect the *distinct missing* keys in first-appearance
-//!    order, computes them in parallel (disjoint writes, per-worker
-//!    [`em_text::SimScratch`]), inserts serially, then fills the output
-//!    matrix in parallel by lookup — every phase is bit-identical for every
-//!    thread count, and the memo survives across calls.
+//!    order, computes them in parallel — one [`em_text::SimEvaluator`]
+//!    call per key writes the attribute's whole similarity vector (disjoint
+//!    writes, per-worker [`em_text::SimScratch`]) — inserts serially, then
+//!    fills the output matrix in parallel by lookup. Every phase is
+//!    bit-identical for every thread count, and the memo survives across
+//!    calls.
 //!
 //! Numeric and boolean features are cheap (no tokenization, no DP) and are
 //! computed inline during the fill phase, exactly like the uncached path.
@@ -30,7 +32,9 @@
 use crate::featuregen::{compute_feature, FeatureGenerator, FeatureKind};
 use em_ml::Matrix;
 use em_table::{RecordPair, Table};
-use em_text::{ProfileDraft, SimScratch, StringSimilarity, TokenInterner, TokenProfile};
+use em_text::{
+    ProfileDraft, SimEvaluator, SimScratch, StringSimilarity, TokenInterner, TokenProfile,
+};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -78,9 +82,10 @@ struct MemoEntry {
 struct AttrCache {
     /// Index of this attribute in both schemas.
     attr_index: usize,
-    /// The string similarities planned for this attribute, in spec order.
-    sims: Vec<StringSimilarity>,
-    /// Output matrix column of each entry in `sims`.
+    /// Evaluator for the string similarities planned for this attribute,
+    /// in spec order.
+    eval: SimEvaluator,
+    /// Output matrix column of each of the evaluator's measures.
     cols: Vec<usize>,
     /// Distinct value -> dense id (shared across both tables). Retained so
     /// the left table can be rebound to fresh query batches when serving.
@@ -124,7 +129,7 @@ impl AttrCache {
         if missing.is_empty() {
             return;
         }
-        let k = self.sims.len();
+        let k = self.eval.sims().len();
         let mut flat = vec![0.0f64; missing.len() * k];
         let writer = em_rt::SliceWriter::new(flat.as_mut_slice());
         let jobs = if missing.len() < 64 { 1 } else { jobs };
@@ -135,12 +140,7 @@ impl AttrCache {
             let key = missing[m];
             let pa = &self.profiles[(key >> 32) as usize];
             let pb = &self.profiles[(key & u64::from(u32::MAX)) as usize];
-            SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                for (slot, sim) in row.iter_mut().zip(&self.sims) {
-                    *slot = sim.apply_profiles(pa, pb, &mut scratch);
-                }
-            });
+            SCRATCH.with(|scratch| self.eval.eval(pa, pb, &mut scratch.borrow_mut(), row));
         });
         for (m, &key) in missing.iter().enumerate() {
             self.memo.insert(
@@ -265,7 +265,7 @@ impl FeatureCache {
                 PROFILE_BUILDS.add(profiles.len() as u64);
                 AttrCache {
                     attr_index,
-                    sims,
+                    eval: SimEvaluator::new(&sims),
                     cols,
                     value_ids,
                     a_rows,

@@ -229,3 +229,38 @@ fn prepare_respects_em_featcache_env() {
     bitwise_eq(&off.features, &on.features);
     assert_eq!(off.labels, on.labels);
 }
+
+/// Serving-shaped values from the scale catalog (4–10 zipf tokens, ~50
+/// chars, some past the 64-char block boundary of the bit-parallel
+/// kernels), featurized through a serving cache bound to the catalog and
+/// rebound to two query batches: bit-identical to the uncached path.
+#[test]
+fn scale_catalog_values_bit_identical_to_uncached() {
+    let cat = em_data::ScaleCatalog::new(em_data::CatalogSpec {
+        records: 400,
+        seed: 17,
+        ..em_data::CatalogSpec::default()
+    });
+    let catalog = cat.table();
+    let longest = (0..catalog.len())
+        .map(|r| cat.value(r).chars().count())
+        .max()
+        .unwrap();
+    assert!(longest > 64, "no value crosses a block boundary: {longest}");
+    let g =
+        FeatureGenerator::plan_for_tables(FeatureScheme::AutoMlEm, &cat.queries(0, 1), &catalog);
+    let mut cache = FeatureCache::for_serving(g.clone(), &catalog);
+    for start in [0, 40] {
+        let queries = cat.queries(start, 40);
+        let pairs: Vec<RecordPair> = (0..queries.len())
+            .flat_map(|i| {
+                (i % 7..catalog.len())
+                    .step_by(7)
+                    .map(move |j| RecordPair::new(i, j))
+            })
+            .collect();
+        cache.rebind_left(&queries);
+        let cached = cache.generate(&queries, &catalog, &pairs);
+        bitwise_eq(&g.generate(&queries, &catalog, &pairs), &cached);
+    }
+}

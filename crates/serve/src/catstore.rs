@@ -144,7 +144,7 @@ fn row_from_payload(payload: &[u8], schema: &Schema) -> Result<Vec<Value>, Strin
 }
 
 /// Per-gather effects, for the matcher's batch telemetry.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStats {
     /// Rows requested (including repeats within the batch).
     pub requested: u64,
@@ -579,9 +579,13 @@ impl CatalogStore {
             ..FetchStats::default()
         };
         let mut out = Table::new(self.schema.clone());
-        // Decoded-this-gather rows, so in-batch repeats never re-read disk
-        // even when the cache is disabled or has already evicted them.
-        let mut fresh: HashMap<u32, Vec<Value>> = HashMap::new();
+        // Decoded-this-gather rows in first-request order, so in-batch
+        // repeats never re-read disk even when the cache is disabled or has
+        // already evicted them, and admission below follows the request
+        // order: the eviction sequence, and with it `rows_read`, is the
+        // same in every process.
+        let mut fresh: Vec<(u32, Vec<Value>)> = Vec::new();
+        let mut fresh_at: HashMap<u32, usize> = HashMap::new();
         for &row in rows {
             if row >= self.rows {
                 return Err(format!(
@@ -592,13 +596,14 @@ impl CatalogStore {
             let values = if let Some(v) = self.cache.get(row) {
                 stats.cache_hits += 1;
                 v.clone()
-            } else if let Some(v) = fresh.get(&row) {
+            } else if let Some(&at) = fresh_at.get(&row) {
                 stats.cache_hits += 1;
-                v.clone()
+                fresh[at].1.clone()
             } else {
                 stats.rows_read += 1;
                 let v = self.read_row(row)?;
-                fresh.insert(row, v.clone());
+                fresh_at.insert(row, fresh.len());
+                fresh.push((row, v.clone()));
                 v
             };
             out.push_row(values).expect("schema arity holds");
@@ -842,5 +847,48 @@ mod tests {
             assert_eq!(&store.fetch_rows(batch).unwrap(), want);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two stores fed the same gather sequence through a small cache
+    /// report the same stats batch for batch: rows are admitted in
+    /// first-request order, so the seeded eviction sequence never depends
+    /// on hash iteration order (which differs between the two stores'
+    /// maps just as it differs between processes).
+    #[test]
+    fn small_cache_stats_repeat_for_the_same_gather_sequence() {
+        let stores: Vec<(PathBuf, CatalogStore)> = (0..2)
+            .map(|k| {
+                let dir = temp_dir(&format!("admit{k}"));
+                let _ = fs::remove_dir_all(&dir);
+                let mut store = CatalogStore::create(&dir, Schema::new(["name"])).unwrap();
+                for i in 0..200 {
+                    store
+                        .append_row(&[Value::Text(format!("record number {i}"))])
+                        .unwrap();
+                }
+                store.configure_cache(6, 11);
+                (dir, store)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        let gathers: Vec<Vec<u32>> = (0..60)
+            .map(|_| {
+                (0..rng.random_range(1..24usize))
+                    .map(|_| rng.random_range(0..40u32))
+                    .collect()
+            })
+            .collect();
+        let mut stats = Vec::new();
+        for (dir, mut store) in stores {
+            let run: Vec<FetchStats> = gathers
+                .iter()
+                .map(|g| store.fetch_rows_with_stats(g).unwrap().1)
+                .collect();
+            stats.push(run);
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
+        }
+        assert!(stats[0].iter().any(|s| s.cache_hits > 0 && s.rows_read > 0));
+        assert_eq!(stats[0], stats[1]);
     }
 }

@@ -42,8 +42,8 @@ pub use numeric::{
 };
 pub use profile::{
     intersection_size_sorted, jaro_chars, jaro_winkler_chars, levenshtein_chars,
-    monge_elkan_profiles, needleman_wunsch_chars, smith_waterman_chars, ProfileDraft, SimScratch,
-    TokenInterner, TokenProfile, PROFILE_QGRAM,
+    monge_elkan_profiles, needleman_wunsch_chars, smith_waterman_chars, ProfileDraft, SimEvaluator,
+    SimScratch, TokenInterner, TokenProfile, PROFILE_QGRAM,
 };
 pub use setsim::{cosine, dice, jaccard, overlap_coefficient, overlap_size};
 pub use tokenize::{qgrams, Tokenizer};

@@ -316,3 +316,168 @@ fn exact_match_is_binary() {
         assert_eq!(e == 1.0, a == b);
     });
 }
+
+/// Every measure the profile path serves: the 16 Table-II ones, the raw
+/// shared-token count, and set measures over an unprofiled tokenizer
+/// (QGram(2)), which take the string path. The last two shapes are what
+/// labeling-function feature plans build.
+fn all_profile_measures() -> Vec<StringSimilarity> {
+    use StringSimilarity::*;
+    let mut sims = table2_similarities();
+    sims.extend([
+        OverlapSize(Tokenizer::Whitespace),
+        OverlapSize(Tokenizer::QGram(3)),
+        OverlapSize(Tokenizer::QGram(2)),
+        Jaccard(Tokenizer::QGram(2)),
+        OverlapCoefficient(Tokenizer::QGram(2)),
+    ]);
+    sims
+}
+
+const ASCII_ALPHABET: &[char] = &['a', 'b', 'c', 'd', 'e', 'r', 's', 't', '1', ' '];
+const UNICODE_ALPHABET: &[char] = &['a', 'b', 'é', 'ü', 'ß', '東', '京', 'λ', 'Ω', '✓', ' '];
+
+/// A 65–200 char string over a small alphabet, so chars repeat and match:
+/// it crosses the 64- and 128-bit block boundaries of the bit-parallel
+/// kernels.
+fn long_string(rng: &mut StdRng, alphabet: &[char]) -> String {
+    let len = rng.random_range(65..=200usize);
+    (0..len)
+        .map(|_| alphabet[rng.random_range(0..alphabet.len())])
+        .collect()
+}
+
+/// `a` after a few random substitutions, insertions and deletions, so the
+/// pair shares long aligned runs across block boundaries.
+fn edited(rng: &mut StdRng, a: &str, alphabet: &[char]) -> String {
+    let mut chars: Vec<char> = a.chars().collect();
+    for _ in 0..rng.random_range(0..=12usize) {
+        let c = alphabet[rng.random_range(0..alphabet.len())];
+        let at = rng.random_range(0..=chars.len());
+        match rng.random_range(0..3u32) {
+            0 => chars.insert(at, c),
+            1 if at < chars.len() => chars[at] = c,
+            _ if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => {}
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Empty or whitespace-only.
+fn blank_string(rng: &mut StdRng) -> String {
+    const BLANKS: &[&str] = &["", " ", "  ", "\t", " \n ", "\u{3000}"];
+    BLANKS[rng.random_range(0..BLANKS.len())].to_owned()
+}
+
+/// A random non-empty subset of `all`, in random order, sometimes with a
+/// measure repeated.
+fn random_measures(rng: &mut StdRng, all: &[StringSimilarity]) -> Vec<StringSimilarity> {
+    let mut pool = all.to_vec();
+    let n = rng.random_range(1..=pool.len());
+    let mut picked: Vec<StringSimilarity> = (0..n)
+        .map(|_| pool.swap_remove(rng.random_range(0..pool.len())))
+        .collect();
+    if rng.random_bool(0.25) {
+        let again = picked[rng.random_range(0..picked.len())];
+        picked.insert(rng.random_range(0..=picked.len()), again);
+    }
+    picked
+}
+
+/// The fused evaluator and every one-measure `apply_profiles` call agree
+/// with the `&str` oracle bit for bit, on one scratch reused across calls.
+fn assert_fused_matches_oracle(a: &str, b: &str, sims: &[StringSimilarity], s: &mut SimScratch) {
+    let mut interner = TokenInterner::new();
+    let pa = TokenProfile::build(a, &mut interner);
+    let pb = TokenProfile::build(b, &mut interner);
+    let mut out = vec![f64::NAN; sims.len()];
+    SimEvaluator::new(sims).eval(&pa, &pb, s, &mut out);
+    for (sim, got) in sims.iter().zip(&out) {
+        let want = sim.apply(a, b);
+        assert_eq!(
+            want.to_bits(),
+            got.to_bits(),
+            "{sim:?} in {sims:?} diverged on {a:?} vs {b:?}: {want} != {got}"
+        );
+        assert_eq!(
+            want.to_bits(),
+            sim.apply_profiles(&pa, &pb, s).to_bits(),
+            "apply_profiles {sim:?} diverged on {a:?} vs {b:?}"
+        );
+    }
+}
+
+#[test]
+fn fused_evaluator_bit_identical_on_long_ascii_inputs() {
+    let all = all_profile_measures();
+    check(|rng| {
+        let a = long_string(rng, ASCII_ALPHABET);
+        let b = if rng.random_bool(0.5) {
+            edited(rng, &a, ASCII_ALPHABET)
+        } else {
+            long_string(rng, ASCII_ALPHABET)
+        };
+        let sims = random_measures(rng, &all);
+        let mut scratch = SimScratch::new();
+        assert_fused_matches_oracle(&a, &b, &sims, &mut scratch);
+        assert_fused_matches_oracle(&b, &a, &all, &mut scratch);
+    });
+}
+
+#[test]
+fn fused_evaluator_bit_identical_on_long_unicode_inputs() {
+    let all = all_profile_measures();
+    check(|rng| {
+        let a = long_string(rng, UNICODE_ALPHABET);
+        let b = if rng.random_bool(0.5) {
+            edited(rng, &a, UNICODE_ALPHABET)
+        } else {
+            long_string(rng, UNICODE_ALPHABET)
+        };
+        let sims = random_measures(rng, &all);
+        let mut scratch = SimScratch::new();
+        assert_fused_matches_oracle(&a, &b, &sims, &mut scratch);
+        assert_fused_matches_oracle(&b, &a, &all, &mut scratch);
+    });
+}
+
+#[test]
+fn fused_evaluator_bit_identical_on_mixed_lengths_and_blanks() {
+    let all = all_profile_measures();
+    check(|rng| {
+        // Short against long, and blank against anything: the early exits
+        // and the single-block paths beside the multi-block ones.
+        let pick = |rng: &mut StdRng| match rng.random_range(0..4u32) {
+            0 => blank_string(rng),
+            1 => unicode_string(rng),
+            2 => word_string(rng),
+            _ => long_string(rng, ASCII_ALPHABET),
+        };
+        let (a, b) = (pick(rng), pick(rng));
+        let sims = random_measures(rng, &all);
+        let mut scratch = SimScratch::new();
+        assert_fused_matches_oracle(&a, &b, &sims, &mut scratch);
+        assert_fused_matches_oracle(&a, &a, &all, &mut scratch);
+    });
+}
+
+#[test]
+fn fused_evaluator_covers_every_single_measure_and_the_full_list_reversed() {
+    let all = all_profile_measures();
+    let mut reversed = all.clone();
+    reversed.reverse();
+    let mut scratch = SimScratch::new();
+    let mut rng = StdRng::seed_from_u64(0x00f0_5ed0);
+    for _ in 0..32 {
+        let a = long_string(&mut rng, UNICODE_ALPHABET);
+        let b = edited(&mut rng, &a, UNICODE_ALPHABET);
+        for sim in &all {
+            assert_fused_matches_oracle(&a, &b, std::slice::from_ref(sim), &mut scratch);
+        }
+        assert_fused_matches_oracle(&a, &b, &reversed, &mut scratch);
+        assert_fused_matches_oracle(&blank_string(&mut rng), &b, &reversed, &mut scratch);
+    }
+}

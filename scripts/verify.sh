@@ -124,6 +124,13 @@ cargo run -q --release --offline -p em-bench --bin bench_serve_scale -- \
     --sizes 10000 --ops 2000 --out "$SCALE_OUT"
 rm -f "$SCALE_OUT"
 
+echo "== benchmark self-check (perfbench: all three workloads, small sizes) =="
+# perfbench is a workspace of its own (path dependencies on crates/*). Its
+# self-check runs search, serve_store and serve_repeat timed and traced,
+# twice each: every output must match the uncached reference path bit for
+# bit, and the exact work counters must repeat across the two runs.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$SOAK" = 1 ]; then
     echo "== soak: 60s mixed serving workload at 100k records (--soak) =="
     # Sustained churn against the persistent sharded index: periodic
