@@ -1,5 +1,8 @@
 //! The search loop: suggest → evaluate → record, under an evaluation-count
-//! or wall-clock budget (the paper's §III-A "time budget").
+//! or wall-clock budget (the paper's §III-A "time budget"). One private
+//! loop serves both front doors: [`run_search_with_initial`] evaluates
+//! inline, one configuration per step; [`run_search_parallel`] evaluates a
+//! batch of suggestions per step on the `em-rt` pool.
 
 use crate::config::Configuration;
 use crate::space::ConfigSpace;
@@ -12,8 +15,8 @@ use std::time::{Duration, Instant};
 pub enum Budget {
     /// Stop after this many objective evaluations.
     Evaluations(usize),
-    /// Stop once this much wall-clock time has elapsed (the evaluation in
-    /// flight when the deadline passes still completes).
+    /// Stop once this much wall-clock time has elapsed (the evaluations in
+    /// flight when the deadline passes still complete and are recorded).
     WallClock(Duration),
 }
 
@@ -117,7 +120,9 @@ pub trait SearchAlgorithm {
     /// same history. The default calls [`SearchAlgorithm::suggest`] `k`
     /// times; model-based searchers override this to amortize one surrogate
     /// fit across the whole batch (SMAC returns the top-`k` candidates by
-    /// expected improvement instead of refitting per suggestion).
+    /// expected improvement instead of refitting per suggestion). An
+    /// override must return exactly `[suggest(..)]` for `k = 1`: that is
+    /// what makes batch mode at `batch = 1` the serial search.
     fn suggest_batch(
         &mut self,
         space: &ConfigSpace,
@@ -151,7 +156,8 @@ pub fn run_search(
 /// evaluated first (in order, counting against the budget) so the search
 /// algorithm's model sees them from its first suggestion — auto-sklearn's
 /// meta-learning warm start, with the meta-learned portfolio supplied by
-/// the caller.
+/// the caller. This is the search loop at `batch = 1`, evaluated inline on
+/// the caller's thread.
 pub fn run_search_with_initial(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
@@ -160,55 +166,19 @@ pub fn run_search_with_initial(
     seed: u64,
     initial: &[Configuration],
 ) -> SearchHistory {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut history = SearchHistory::default();
-    let start = Instant::now();
-    let exhausted = |history: &SearchHistory, start: &Instant| match budget {
-        Budget::Evaluations(n) => history.len() >= n,
-        Budget::WallClock(d) => start.elapsed() >= d,
-    };
-    for config in initial {
-        if exhausted(&history, &start) {
-            break;
-        }
-        assert!(
-            space.validate(config).is_ok(),
-            "warm-start configuration is invalid for this space"
-        );
-        let score = objective(config);
-        history.push(config.clone(), score);
-    }
-    loop {
-        if exhausted(&history, &start) {
-            break;
-        }
-        let config = algo.suggest(space, &history, &mut rng);
-        debug_assert!(
-            space.validate(&config).is_ok(),
-            "search algorithm produced an invalid configuration"
-        );
-        let trial = history.len();
-        em_obs::event("search.eval_start", || {
-            vec![("trial", em_rt::Json::from(trial))]
-        });
-        let score = objective(&config);
-        em_obs::event("search.eval_finish", || {
-            vec![
-                ("trial", em_rt::Json::from(trial)),
-                ("score", em_rt::Json::from(score)),
-            ]
-        });
-        history.push(config, score);
-    }
-    history
+    let mut evaluate =
+        |configs: &[Configuration]| -> Vec<f64> { configs.iter().map(&mut *objective).collect() };
+    search_loop(space, algo, &mut evaluate, budget, seed, initial, 1)
 }
 
-/// Batched-parallel search: each step asks `algo` for a batch of up to
-/// `batch` configurations and evaluates them concurrently on the shared
-/// `em-rt` worker pool, recording results in suggestion order. Deterministic
-/// for a fixed seed and evaluation budget regardless of thread count (the
-/// trajectory differs from `batch = 1`, which sees feedback after every
-/// single evaluation — `batch = 1` reproduces [`run_search`] exactly).
+/// Batched-parallel search: each step asks `algo` for a batch of `batch`
+/// configurations and evaluates them concurrently on the shared `em-rt`
+/// worker pool, recording results in suggestion order. Deterministic for a
+/// fixed seed and budget regardless of thread count. `batch = 1` reproduces
+/// [`run_search_with_initial`] trial for trial and evaluates inline, so
+/// parallelism inside the objective (e.g. forest fits) keeps the pool;
+/// larger batches trade per-step feedback for concurrent evaluations
+/// (`batch = 0` counts as 1).
 pub fn run_search_parallel(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
@@ -218,19 +188,7 @@ pub fn run_search_parallel(
     initial: &[Configuration],
     batch: usize,
 ) -> SearchHistory {
-    let batch = batch.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut history = SearchHistory::default();
-    let start = Instant::now();
-    let exhausted = |history: &SearchHistory, start: &Instant| match budget {
-        Budget::Evaluations(n) => history.len() >= n,
-        Budget::WallClock(d) => start.elapsed() >= d,
-    };
-    let remaining = |history: &SearchHistory| match budget {
-        Budget::Evaluations(n) => n.saturating_sub(history.len()),
-        Budget::WallClock(_) => batch,
-    };
-    let evaluate_batch = |configs: &[Configuration]| -> Vec<f64> {
+    let mut evaluate = |configs: &[Configuration]| {
         let mut scores = vec![f64::NEG_INFINITY; configs.len()];
         let writer = em_rt::SliceWriter::new(&mut scores);
         em_rt::parallel_for_chunked(configs.len(), 0, 1, |i| {
@@ -239,224 +197,78 @@ pub fn run_search_parallel(
         });
         scores
     };
-    let warm: Vec<Configuration> = initial.iter().take(remaining(&history)).cloned().collect();
-    for config in &warm {
-        assert!(
-            space.validate(config).is_ok(),
-            "warm-start configuration is invalid for this space"
-        );
-    }
-    for (config, score) in warm.iter().zip(evaluate_batch(&warm)) {
-        history.push(config.clone(), score);
-    }
-    loop {
-        if exhausted(&history, &start) {
-            break;
-        }
-        let k = remaining(&history).min(batch).max(1);
-        let configs = algo.suggest_batch(space, &history, &mut rng, k);
-        assert!(!configs.is_empty(), "suggest_batch returned no candidates");
-        for config in &configs {
-            debug_assert!(
-                space.validate(config).is_ok(),
-                "search algorithm produced an invalid configuration"
-            );
-        }
-        let scores = evaluate_batch(&configs);
-        for (config, score) in configs.into_iter().zip(scores) {
-            if exhausted(&history, &start) {
-                break;
-            }
-            history.push(config, score);
-        }
-    }
-    history
+    search_loop(space, algo, &mut evaluate, budget, seed, initial, batch)
 }
 
-/// Outcome of [`run_search_async_report`]: the history plus per-worker
-/// evaluation counts (empty when the serial fallback ran).
-#[derive(Debug, Clone)]
-pub struct AsyncSearchReport {
-    /// The search trajectory, identical to [`run_search_parallel`]'s for the
-    /// same inputs.
-    pub history: SearchHistory,
-    /// Evaluations completed by each dedicated worker thread.
-    pub evals_per_worker: Vec<usize>,
-}
-
-/// Asynchronous SMBO: persistent worker threads pull suggestions over an
-/// `em-rt` channel and stream scores back, while the coordinator — the sole
-/// owner of the surrogate and the RNG, so no mutex guards either — commits
-/// results in suggestion order through a reorder buffer and issues the next
-/// wave of suggestions. See [`run_search_async_report`] for the worker
-/// accounting variant.
+/// The one suggest → evaluate → commit loop behind both front doors.
 ///
-/// The trajectory is **identical to [`run_search_parallel`]** for the same
-/// `(space, algo, budget, seed, initial, batch)` by construction: the
-/// coordinator makes the same `suggest_batch` calls against the same
-/// committed history and the same RNG stream, and evaluation results are
-/// committed in suggestion order no matter which worker finished first. The
-/// difference is mechanical: evaluations run on dedicated channel-fed
-/// threads (leaving the shared pool free for nested parallelism inside the
-/// objective, e.g. forest fits) with scores streaming back as they finish,
-/// instead of a fork-join `parallel_for` per batch.
-pub fn run_search_async(
+/// Each round takes up to `batch` configurations — the next warm-start
+/// configs while any remain, then one `suggest_batch(.., batch)` call
+/// against the committed history — and commits every score in suggestion
+/// order. The budget is checked before each round: under
+/// [`Budget::Evaluations`] the round is truncated to the evaluations left,
+/// so a run is a prefix of any longer run with the same seed; under
+/// [`Budget::WallClock`] a round that has started is evaluated and recorded
+/// in full, warm-start configs included.
+fn search_loop(
     space: &ConfigSpace,
     algo: &mut dyn SearchAlgorithm,
-    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
+    evaluate: &mut dyn FnMut(&[Configuration]) -> Vec<f64>,
     budget: Budget,
     seed: u64,
     initial: &[Configuration],
     batch: usize,
 ) -> SearchHistory {
-    run_search_async_report(space, algo, objective, budget, seed, initial, batch).history
-}
-
-/// [`run_search_async`], additionally reporting how many evaluations each
-/// worker thread completed (for scheduling/starvation diagnostics).
-///
-/// Worker count is `min(batch, em_rt::threads() - 1)` — one slot is left
-/// for the coordinator. When that is zero (`EM_THREADS=1`, or `batch = 0`)
-/// the search runs inline on the caller thread and still produces the exact
-/// same history, which is what makes the 1-vs-N-thread determinism harness
-/// able to cover this path.
-pub fn run_search_async_report(
-    space: &ConfigSpace,
-    algo: &mut dyn SearchAlgorithm,
-    objective: &(dyn Fn(&Configuration) -> f64 + Sync),
-    budget: Budget,
-    seed: u64,
-    initial: &[Configuration],
-    batch: usize,
-) -> AsyncSearchReport {
     let batch = batch.max(1);
-    let n_workers = batch.min(em_rt::threads().saturating_sub(1));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut history = SearchHistory::default();
     let start = Instant::now();
-    let exhausted = |history: &SearchHistory, start: &Instant| match budget {
-        Budget::Evaluations(n) => history.len() >= n,
-        Budget::WallClock(d) => start.elapsed() >= d,
-    };
-    let remaining = |history: &SearchHistory| match budget {
-        Budget::Evaluations(n) => n.saturating_sub(history.len()),
-        Budget::WallClock(_) => batch,
-    };
-    let warm: Vec<Configuration> = initial.iter().take(remaining(&history)).cloned().collect();
-    for config in &warm {
-        assert!(
-            space.validate(config).is_ok(),
-            "warm-start configuration is invalid for this space"
-        );
-    }
-
-    if n_workers == 0 {
-        // Serial fallback: the identical suggest/commit sequence, evaluated
-        // inline (the objective is pure, so scoring a suggestion before or
-        // after its batch-mates cannot change any committed value).
-        let mut round = warm;
-        loop {
-            for config in round.drain(..) {
-                if exhausted(&history, &start) {
-                    break;
-                }
-                let score = objective(&config);
-                history.push(config, score);
-            }
-            if exhausted(&history, &start) {
-                break;
-            }
-            let k = remaining(&history).min(batch).max(1);
-            round = algo.suggest_batch(space, &history, &mut rng, k);
-            assert!(!round.is_empty(), "suggest_batch returned no candidates");
-        }
-        return AsyncSearchReport {
-            history,
-            evals_per_worker: Vec::new(),
+    let mut warm = initial;
+    loop {
+        let room = match budget {
+            Budget::Evaluations(n) => n.saturating_sub(history.len()),
+            Budget::WallClock(d) if start.elapsed() < d => batch,
+            Budget::WallClock(_) => 0,
         };
-    }
-
-    let (job_tx, job_rx) = em_rt::channel::<(usize, Configuration)>();
-    let (result_tx, result_rx) = em_rt::channel::<(usize, usize, f64)>();
-    let mut evals_per_worker = vec![0usize; n_workers];
-
-    std::thread::scope(|s| {
-        for w in 0..n_workers {
-            let jobs = job_rx.clone();
-            let results = result_tx.clone();
-            s.spawn(move || {
-                while let Some((ix, config)) = jobs.recv() {
-                    em_obs::event("search.eval_start", || {
-                        vec![
-                            ("trial", em_rt::Json::from(ix)),
-                            ("worker", em_rt::Json::from(w)),
-                        ]
-                    });
-                    let score = objective(&config);
-                    em_obs::event("search.eval_finish", || {
-                        vec![
-                            ("trial", em_rt::Json::from(ix)),
-                            ("worker", em_rt::Json::from(w)),
-                            ("score", em_rt::Json::from(score)),
-                        ]
-                    });
-                    if results.send((ix, w, score)).is_err() {
-                        break;
-                    }
-                }
+        if room == 0 {
+            break;
+        }
+        let round = if warm.is_empty() {
+            let mut configs = algo.suggest_batch(space, &history, &mut rng, batch);
+            assert!(!configs.is_empty(), "suggest_batch returned no candidates");
+            configs.truncate(room);
+            debug_assert!(
+                configs.iter().all(|c| space.validate(c).is_ok()),
+                "search algorithm produced an invalid configuration"
+            );
+            configs
+        } else {
+            let (head, rest) = warm.split_at(warm.len().min(batch).min(room));
+            warm = rest;
+            assert!(
+                head.iter().all(|c| space.validate(c).is_ok()),
+                "warm-start configuration is invalid for this space"
+            );
+            head.to_vec()
+        };
+        let base = history.len();
+        for trial in base..base + round.len() {
+            em_obs::event("search.eval_start", || {
+                vec![("trial", em_rt::Json::from(trial))]
             });
         }
-        // The workers hold their own clones; dropping these keeps channel
-        // close semantics tied to the coordinator (job_tx) and the worker
-        // set (result_tx clones).
-        drop(job_rx);
-        drop(result_tx);
-
-        let mut round = warm;
-        loop {
-            // Dispatch the round; workers race for jobs over the channel.
-            let base = history.len();
-            for (i, config) in round.iter().enumerate() {
-                job_tx
-                    .send((base + i, config.clone()))
-                    .expect("workers alive while coordinator dispatches");
-            }
-            // Reorder buffer: collect every score of the round, then commit
-            // in suggestion order regardless of completion order.
-            let mut scores: std::collections::BTreeMap<usize, f64> =
-                std::collections::BTreeMap::new();
-            while scores.len() < round.len() {
-                let (ix, w, score) = result_rx.recv().expect("a worker result per job");
-                evals_per_worker[w] += 1;
-                scores.insert(ix, score);
-            }
-            for (i, config) in round.drain(..).enumerate() {
-                if exhausted(&history, &start) {
-                    break;
-                }
-                history.push(config, scores[&(base + i)]);
-            }
-            if exhausted(&history, &start) {
-                break;
-            }
-            let k = remaining(&history).min(batch).max(1);
-            round = algo.suggest_batch(space, &history, &mut rng, k);
-            assert!(!round.is_empty(), "suggest_batch returned no candidates");
-            for config in &round {
-                debug_assert!(
-                    space.validate(config).is_ok(),
-                    "search algorithm produced an invalid configuration"
-                );
-            }
+        let scores = evaluate(&round);
+        for (trial, (config, score)) in (base..).zip(round.into_iter().zip(scores)) {
+            em_obs::event("search.eval_finish", || {
+                vec![
+                    ("trial", em_rt::Json::from(trial)),
+                    ("score", em_rt::Json::from(score)),
+                ]
+            });
+            history.push(config, score);
         }
-        // Closing the job channel sends workers home; the scope joins them.
-        job_tx.close();
-    });
-
-    AsyncSearchReport {
-        history,
-        evals_per_worker,
     }
+    history
 }
 
 #[cfg(test)]

@@ -147,11 +147,15 @@ impl SearchAlgorithm for SmacSearch {
         rng: &mut StdRng,
         k: usize,
     ) -> Vec<Configuration> {
-        let k = k.max(1);
+        // A batch of one is a plain suggestion, so batch mode at `k = 1`
+        // walks the serial trajectory.
+        if k <= 1 {
+            return vec![self.suggest(space, history, rng)];
+        }
         let n = history.len();
         if n < self.params.n_init {
             // Still in the random-init phase: fill the whole batch randomly.
-            return (0..k.min(self.params.n_init - n).max(1))
+            return (0..k.min(self.params.n_init - n))
                 .map(|_| space.sample(rng))
                 .collect();
         }
@@ -164,8 +168,7 @@ impl SearchAlgorithm for SmacSearch {
             out.push(space.sample(rng));
         }
         let ranked = self.ranked_candidates(space, history, rng);
-        out.extend(ranked.into_iter().take(k.saturating_sub(out.len())));
-        out.truncate(k);
+        out.extend(ranked.into_iter().take(k - out.len()));
         out
     }
 

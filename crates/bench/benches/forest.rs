@@ -1,9 +1,8 @@
 //! Benchmarks for the ML substrate's hot paths: tree and forest training,
 //! prediction, and the vote-fraction confidence used by Algorithm 1. The
-//! forest-fit benchmarks compare the shared `em-rt` pool against the old
-//! per-call `thread::scope` strategy (fresh OS threads on every fit).
+//! forest-fit benchmarks compare the shared `em-rt` pool against a serial
+//! (`n_jobs = 1`) fit.
 
-use em_bench::baseline::fit_trees_scope_baseline;
 use em_bench::timing::Harness;
 use em_ml::{
     Classifier, DecisionTree, ForestParams, Matrix, MaxFeatures, RandomForestClassifier, TreeParams,
@@ -30,13 +29,12 @@ fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<usize>) {
 }
 
 fn main() {
-    // Explicit thread count so the pool-vs-spawn comparison is stable across
-    // machines; EM_THREADS (read by em-rt) still wins if set.
+    // Explicit thread count so the pool-vs-serial comparison is stable
+    // across machines; EM_THREADS (read by em-rt) still wins if set.
     if std::env::var("EM_THREADS").is_err() {
         em_rt::set_threads(4);
     }
-    let threads = em_rt::threads();
-    eprintln!("running with {threads} threads");
+    eprintln!("running with {} threads", em_rt::threads());
 
     let mut h = Harness::new("forest");
 
@@ -57,9 +55,6 @@ fn main() {
         let mut rf = RandomForestClassifier::new(params.clone());
         rf.fit(black_box(&x), black_box(&y), 2, None);
         rf
-    });
-    h.bench("forest/fit_50trees_2000x40_scope_baseline", || {
-        fit_trees_scope_baseline(black_box(&x), black_box(&y), 2, &params, threads)
     });
     h.bench("forest/fit_50trees_2000x40_serial", || {
         let mut rf = RandomForestClassifier::new(ForestParams {

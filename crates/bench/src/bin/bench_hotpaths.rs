@@ -1,15 +1,13 @@
 //! Acceptance benchmark for the remaining hot paths moved onto the shared
 //! `em-rt` pool: blocking candidate generation, stratified k-fold
 //! cross-validation, permutation feature importances, and benchmark dataset
-//! synthesis — serial (`jobs = 1`) vs pooled — plus the async SMBO runner
-//! against the fork-join batch runner on the same workload. Writes
-//! `BENCH_hotpaths.json` (override the path with the first CLI argument).
+//! synthesis — serial (`jobs = 1`) vs pooled. Writes `BENCH_hotpaths.json`
+//! (override the path with the first CLI argument).
 //!
 //! Thread count comes from `EM_THREADS` when set, else defaults to 4 so the
 //! serial-vs-pool comparison is stable across machines; the host's actual
 //! `available_parallelism` is recorded alongside the numbers.
 
-use em_automl::{run_search_async, run_search_parallel, Budget, SmacSearch};
 use em_bench::timing::{fmt_ns, Harness};
 use em_ml::{Classifier, ForestParams, Matrix, RandomForestClassifier, Splitter};
 use em_rt::{Json, StdRng};
@@ -151,40 +149,6 @@ fn main() {
         em_data::Benchmark::DblpScholar.generate_scaled_with_jobs(0, 0.5, threads)
     });
 
-    // -- async SMBO vs fork-join batch mode -----------------------------------
-    // The objective fits a small forest so evaluations cost something real;
-    // both runners see the same space, seed, budget, and batch, and produce
-    // the same trajectory — the comparison is pure scheduling overhead.
-    let (sx, sy) = dataset(240, 8, 2);
-    let space = automl_em::build_space(automl_em::SpaceOptions::default());
-    let objective = |c: &em_automl::Configuration| -> f64 {
-        let pipeline = automl_em::decode_configuration(c, 0);
-        let f = pipeline.fit(&sx, &sy);
-        f.f1(&sx, &sy)
-    };
-    h.bench("smbo_16evals_batch4/batch_pool", || {
-        run_search_parallel(
-            &space,
-            &mut SmacSearch::default(),
-            &objective,
-            Budget::Evaluations(16),
-            0,
-            &[],
-            4,
-        )
-    });
-    h.bench("smbo_16evals_batch4/async_workers", || {
-        run_search_async(
-            &space,
-            &mut SmacSearch::default(),
-            &objective,
-            Budget::Evaluations(16),
-            0,
-            &[],
-            4,
-        )
-    });
-
     // -- report ---------------------------------------------------------------
     let median = |name: &str| -> f64 {
         h.results()
@@ -254,12 +218,6 @@ fn main() {
             "pool",
             "DBLP-Scholar synthesis at scale 0.5 (~2.7k entities + negatives)",
         ),
-        (
-            "smbo_16evals_batch4",
-            "batch_pool",
-            "async_workers",
-            "SMAC, 16 evaluations, batch 4, small-forest objective",
-        ),
     ] {
         let base = median(&format!("{name}/{baseline}"));
         let var = median(&format!("{name}/{variant}"));
@@ -289,9 +247,7 @@ fn main() {
                 "serial = jobs 1 on the caller thread; pool = the shared em-rt \
                  worker pool. Every pair is bit-identical output by \
                  construction (see crates/core/tests/determinism.rs); the \
-                 async SMBO row compares the channel-fed worker runner \
-                 against the fork-join batch runner on an identical \
-                 trajectory; the featuregen rows compare the uncached &str \
+                 featuregen rows compare the uncached &str \
                  path against the interned FeatureCache (EM_FEATCACHE \
                  toggles the same paths inside PreparedDataset::prepare). \
                  Speedups > 1 assume a multi-core host; \

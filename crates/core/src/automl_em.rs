@@ -6,8 +6,8 @@ use crate::featuregen::{FeatureGenerator, FeatureScheme};
 use crate::pipeline::{decode_configuration, EmPipelineConfig, FittedEmPipeline};
 use crate::space::{build_space, SpaceOptions};
 use em_automl::{
-    run_search_async, run_search_with_initial, Budget, Configuration, RandomSearch,
-    SearchAlgorithm, SearchHistory, SmacSearch, TpeSearch,
+    run_search_parallel, Budget, Configuration, RandomSearch, SearchAlgorithm, SearchHistory,
+    SmacSearch, TpeSearch,
 };
 use em_data::EmDataset;
 use em_ml::{f1_score, paper_split, Matrix, ThreeWaySplit};
@@ -47,12 +47,12 @@ pub struct AutoMlEmOptions {
     pub budget: Budget,
     /// Master seed (splits, search, model training).
     pub seed: u64,
-    /// Candidate configurations evaluated concurrently per search step, on
-    /// the async SMBO runner's dedicated channel-fed workers (which leaves
-    /// the shared `em-rt` pool free for the forest fits inside each
-    /// evaluation). `1` reproduces the strictly sequential suggest →
-    /// evaluate loop; larger batches trade per-step feedback for wall-clock
-    /// speed (still deterministic for a fixed seed and any thread count).
+    /// Candidate configurations evaluated concurrently per search step on
+    /// the shared `em-rt` pool. `1` is the strictly sequential suggest →
+    /// evaluate loop, evaluated inline so the forest fits inside each
+    /// evaluation keep the pool; larger batches trade per-step feedback for
+    /// wall-clock speed (still deterministic for a fixed seed and any
+    /// thread count).
     pub candidate_batch: usize,
 }
 
@@ -139,26 +139,15 @@ impl AutoMlEm {
         // first (auto-sklearn's meta-learning portfolio, reduced to the
         // sklearn defaults), so the surrogate model sees it immediately.
         let warm_start = [crate::space::default_configuration(self.options.space)];
-        let history = if self.options.candidate_batch > 1 {
-            run_search_async(
-                &space,
-                algo.as_mut(),
-                &objective,
-                self.options.budget,
-                seed,
-                &warm_start,
-                self.options.candidate_batch,
-            )
-        } else {
-            run_search_with_initial(
-                &space,
-                algo.as_mut(),
-                &mut { objective },
-                self.options.budget,
-                seed,
-                &warm_start,
-            )
-        };
+        let history = run_search_parallel(
+            &space,
+            algo.as_mut(),
+            &objective,
+            self.options.budget,
+            seed,
+            &warm_start,
+            self.options.candidate_batch,
+        );
         let incumbent = history
             .incumbent()
             .expect("search budget must allow at least one evaluation");

@@ -9,7 +9,7 @@
 //! 3. stratified k-fold `cross_val_f1`,
 //! 4. permutation feature importances,
 //! 5. `em-data` benchmark synthesis,
-//! 6. the async SMBO search trajectory (serial fallback vs worker threads),
+//! 6. the SMBO search trajectory with batched candidate evaluation,
 //! 7. cached feature generation (`FeatureCache`): profile building and memo
 //!    filling at any thread count, bit-identical to the uncached path,
 //! 8. the binned tree splitter: forest-level jobs and per-node subtree
@@ -417,9 +417,9 @@ fn em_binned_override_unifies_engines() {
 }
 
 #[test]
-fn async_smbo_trajectory_is_thread_count_invariant() {
+fn smbo_trajectory_is_thread_count_invariant() {
     let _guard = serialize();
-    // End-to-end: the full AutoML-EM driver with async candidate
+    // End-to-end: the full AutoML-EM driver with batched candidate
     // evaluation, run once with a 1-thread pool (serial fallback) and once
     // with a multi-worker pool — same seed, identical trajectory, including
     // the forest fits nested inside each objective evaluation.

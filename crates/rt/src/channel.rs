@@ -1,11 +1,10 @@
 //! A small blocking MPMC channel for coordinator/worker protocols.
 //!
-//! The async SMBO scheduler in `em-automl` keeps its surrogate model and
-//! suggestion RNG on a single coordinator and ships work out / results back
-//! over two of these channels, so the mutable search state itself never sits
-//! behind a lock. The channel is the only shared structure, and it is a
-//! plain `Mutex<VecDeque>` + `Condvar` — unbounded, FIFO, clonable on both
-//! ends.
+//! `em-serve`'s streaming matcher keeps its mutable state on a single
+//! coordinator and ships work out / results back over these channels, so
+//! that state itself never sits behind a lock. The channel is the only
+//! shared structure, and it is a plain `Mutex<VecDeque>` + `Condvar` —
+//! unbounded, FIFO, clonable on both ends.
 //!
 //! Closing: every sender dropped (or an explicit [`Sender::close`]) wakes
 //! all blocked receivers, which then drain the remaining queue and get

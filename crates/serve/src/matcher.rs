@@ -21,8 +21,7 @@
 //! ## Streaming design
 //!
 //! `match_stream` pulls query tables from an [`em_rt::channel`] and runs a
-//! three-stage pipeline, mirroring the async-SMBO coordinator/worker shape
-//! in `em-automl`:
+//! three-stage coordinator/worker pipeline:
 //!
 //! * **Coordinator** (the calling thread) — receives batches in arrival
 //!   order, probes the [`IncrementalIndex`], rebinds the shared
