@@ -1,8 +1,9 @@
 //! Acceptance benchmark for the remaining hot paths moved onto the shared
 //! `em-rt` pool: blocking candidate generation, stratified k-fold
 //! cross-validation, permutation feature importances, and benchmark dataset
-//! synthesis — serial (`jobs = 1`) vs pooled. Writes `BENCH_hotpaths.json`
-//! (override the path with the first CLI argument).
+//! synthesis — serial (`jobs = 1`) vs pooled — plus the served forest's
+//! per-pair inference cost. Writes `BENCH_hotpaths.json` (override the path
+//! with the first CLI argument).
 //!
 //! Thread count comes from `EM_THREADS` when set, else defaults to 4 so the
 //! serial-vs-pool comparison is stable across machines; the host's actual
@@ -11,6 +12,7 @@
 use em_bench::timing::{fmt_ns, Harness};
 use em_ml::{Classifier, ForestParams, Matrix, RandomForestClassifier, Splitter};
 use em_rt::{Json, StdRng};
+use em_table::RecordPair;
 use em_table::{Blocker, OverlapBlocker};
 
 fn dataset(n: usize, d: usize, seed: u64) -> (Matrix, Vec<usize>) {
@@ -149,6 +151,69 @@ fn main() {
         em_data::Benchmark::DblpScholar.generate_scaled_with_jobs(0, 0.5, threads)
     });
 
+    // -- served forest inference ----------------------------------------------
+    // The default 100-tree forest trained as perfbench's serve_repeat trains
+    // it (Walmart-Amazon, full scale, seed 1), scoring 324-row batches
+    // (4 queries x 81 candidates, serve_repeat's batch shape) through
+    // `predict_with_scores`, the call the matcher's predict workers make.
+    let wa = em_data::Benchmark::WalmartAmazon.generate_scaled(1, 1.0);
+    let wa_gen = automl_em::FeatureGenerator::plan_for_tables(
+        automl_em::FeatureScheme::AutoMlEm,
+        &wa.table_a,
+        &wa.table_b,
+    );
+    let wa_pairs: Vec<RecordPair> = wa.pairs.iter().map(|p| p.pair).collect();
+    let wa_x = wa_gen.generate(&wa.table_a, &wa.table_b, &wa_pairs);
+    let served = automl_em::EmPipelineConfig::default_random_forest(1).fit(&wa_x, &wa.labels());
+    const BATCH_ROWS: usize = 324;
+    const BATCHES: usize = 8;
+    let batches: Vec<Matrix> = (0..BATCHES)
+        .map(|b| {
+            let rows: Vec<usize> = (b * BATCH_ROWS..(b + 1) * BATCH_ROWS)
+                .map(|r| r % wa_x.nrows())
+                .collect();
+            wa_x.select_rows(&rows)
+        })
+        .collect();
+    let predict_ns = h
+        .bench("forest_predict_serving/predict_with_scores", || {
+            batches
+                .iter()
+                .map(|b| served.predict_with_scores(b).len())
+                .sum::<usize>()
+        })
+        .median_ns();
+    let forest = RandomForestClassifier::from_json(
+        served
+            .to_json()
+            .get("model")
+            .expect("pipeline JSON has a model"),
+    )
+    .expect("the default pipeline serves a random forest");
+    let n_nodes: usize = forest.trees().iter().map(|t| t.n_nodes()).sum();
+    let node_bytes: usize = forest.trees().iter().map(|t| t.node_bytes()).sum();
+    let ns_per_pair = predict_ns / (BATCHES * BATCH_ROWS) as f64;
+    let bytes_per_node = node_bytes as f64 / n_nodes as f64;
+    eprintln!(
+        "forest_predict_serving: {ns_per_pair:.0} ns/pair, {bytes_per_node:.1} bytes/node \
+         over {n_nodes} nodes"
+    );
+    let forest_row = Json::obj([
+        (
+            "workload",
+            Json::from(
+                "predict_with_scores of the default 100-tree forest (Walmart-Amazon, \
+                 seed 1, 68 features) on 8 batches of 324 rows (4 queries x 81 \
+                 candidates)",
+            ),
+        ),
+        ("batch_rows", Json::from(BATCH_ROWS)),
+        ("trees", Json::from(forest.trees().len())),
+        ("nodes", Json::from(n_nodes)),
+        ("median_ns_per_pair", Json::from(ns_per_pair)),
+        ("bytes_per_node", Json::from(bytes_per_node)),
+    ]);
+
     // -- report ---------------------------------------------------------------
     let median = |name: &str| -> f64 {
         h.results()
@@ -255,6 +320,7 @@ fn main() {
             ),
         ),
         ("comparisons", Json::Arr(comparisons)),
+        ("forest_predict_serving", forest_row),
         ("raw", h.to_json()),
     ]);
     std::fs::write(&out_path, report.render_pretty(2) + "\n")

@@ -587,19 +587,19 @@ impl FittedEmPipeline {
         (0..p.nrows()).map(|r| p.get(r, 1)).collect()
     }
 
-    /// Matching probability plus hard decision per pair, transforming `x`
-    /// once. Decisions come from the model's own `predict` (not from
-    /// thresholding the probability), so they are exactly
-    /// [`Self::predict`]'s output — the serving path relies on that
-    /// equality.
+    /// Matching probability plus hard decision per pair, with one transform
+    /// pass and one model pass. Each decision is the [`em_ml::argmax`] of
+    /// the same probability row the score comes from, the rule
+    /// `Classifier::predict` applies, so decisions are exactly
+    /// [`Self::predict`]'s output, ties included — the serving path relies
+    /// on that equality.
     pub fn predict_with_scores(&self, x: &Matrix) -> Vec<(f64, bool)> {
-        let xt = self.transform(x);
-        let proba = self.model.predict_proba(&xt);
-        self.model
-            .predict(&xt)
-            .into_iter()
-            .enumerate()
-            .map(|(r, c)| (proba.get(r, 1), c == 1))
+        let proba = self.model.predict_proba(&self.transform(x));
+        (0..proba.nrows())
+            .map(|r| {
+                let row = proba.row(r);
+                (row[1], em_ml::argmax(row) == 1)
+            })
             .collect()
     }
 

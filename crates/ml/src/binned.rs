@@ -27,7 +27,7 @@
 
 use crate::matrix::Matrix;
 use crate::tree::{
-    exact_best_threshold, impurity_from_counts, midpoint, variance_from_sums, Node, Target,
+    exact_best_threshold, impurity_from_counts, midpoint, variance_from_sums, NodeArrays, Target,
     TreeParams,
 };
 use em_rt::{SliceRandom, StdRng};
@@ -49,7 +49,7 @@ pub(crate) fn bin_matrix(x: &Matrix, n_bins: usize) -> BinnedMatrix {
     BinnedMatrix::build(x, n_bins.clamp(2, 256))
 }
 
-/// Fit a tree with the binned engine. Returns the node array (same pre-order
+/// Fit a tree with the binned engine. Returns the node arrays (same pre-order
 /// layout as the exact builder) and the unnormalized per-feature importances.
 /// `prebinned`, when given, must be the binning of exactly `x`'s rows.
 pub(crate) fn fit_binned(
@@ -58,7 +58,7 @@ pub(crate) fn fit_binned(
     w: &[f64],
     params: &TreeParams,
     prebinned: Option<BinnedMatrix>,
-) -> (Vec<Node>, Vec<f64>) {
+) -> (NodeArrays, Vec<f64>) {
     let bm = prebinned.unwrap_or_else(|| bin_matrix(x, params.n_bins));
     debug_assert_eq!(bm.codes.len(), x.nrows() * x.ncols());
     let d = x.ncols();
@@ -92,9 +92,7 @@ pub(crate) fn fit_binned(
     };
     let idx: Vec<usize> = (0..x.nrows()).collect();
     let root_hist = (idx.len() >= ctx.cutoff).then(|| ctx.scan_hist(&idx));
-    let (root, imp_list) = ctx.build(idx, root_hist, 0, params.seed);
-    let mut nodes = Vec::new();
-    flatten(root, &mut nodes);
+    let (nodes, imp_list) = ctx.build(idx, root_hist, 0, params.seed);
     let mut importances = vec![0.0; d];
     for (f, v) in imp_list {
         importances[f] += v;
@@ -294,20 +292,6 @@ struct Ctx<'a> {
     bm: BinnedMatrix,
 }
 
-/// Built tree as boxed nodes; flattened to the exact builder's pre-order
-/// array layout at the end (children can be built concurrently this way).
-enum BNode {
-    Leaf {
-        dist: Vec<f64>,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: Box<BNode>,
-        right: Box<BNode>,
-    },
-}
-
 /// Importance contributions in pre-order: `(feature, node_weight * gain)`.
 type ImpList = Vec<(usize, f64)>;
 
@@ -392,7 +376,7 @@ impl Ctx<'_> {
         hist: Option<HistBuf>,
         depth: usize,
         seed: u64,
-    ) -> (BNode, ImpList) {
+    ) -> (NodeArrays, ImpList) {
         let p = self.params;
         let stats = node_stats_totals(self.target, self.w, &idx, p.criterion);
         let (impurity, leaf_dist) = (stats.impurity, stats.leaf_dist);
@@ -455,7 +439,7 @@ impl Ctx<'_> {
         // whether subtree tasks are worth routing through the pool, so
         // `set_threads(1)` exercises the pure-recursion path in-process.
         let spawn = left_idx.len().min(right_idx.len()) >= SPAWN_MIN && em_rt::threads() > 1;
-        let ((l_node, l_imp), (r_node, r_imp)) = if spawn {
+        let ((l_nodes, l_imp), (r_nodes, r_imp)) = if spawn {
             SUBTREE_TASKS.add(2);
             let l_in = Mutex::new(Some((left_idx, l_hist)));
             let r_in = Mutex::new(Some((right_idx, r_hist)));
@@ -487,23 +471,30 @@ impl Ctx<'_> {
         imp.push((feature, total_w * gain));
         imp.extend(l_imp);
         imp.extend(r_imp);
-        (
-            BNode::Split {
-                feature,
-                threshold,
-                left: Box::new(l_node),
-                right: Box::new(r_node),
-            },
-            imp,
-        )
+        // Each subtree comes back as its own pre-order node arrays (so
+        // siblings can be built concurrently); appending them after this
+        // split gives the exact builder's layout.
+        let mut nodes = NodeArrays::new(l_nodes.width());
+        let my = nodes.push_split(feature, threshold);
+        let left = nodes.append(l_nodes);
+        let right = nodes.append(r_nodes);
+        nodes.set_children(my, left, right);
+        (nodes, imp)
     }
 
-    fn leaf(&self, idx: Vec<usize>, hist: Option<HistBuf>, dist: Vec<f64>) -> (BNode, ImpList) {
+    fn leaf(
+        &self,
+        idx: Vec<usize>,
+        hist: Option<HistBuf>,
+        dist: Vec<f64>,
+    ) -> (NodeArrays, ImpList) {
         self.scratch.release_idx(idx);
         if let Some(h) = hist {
             self.scratch.release_hist(h);
         }
-        (BNode::Leaf { dist }, Vec::new())
+        let mut nodes = NodeArrays::new(dist.len());
+        nodes.push_leaf(&dist);
+        (nodes, Vec::new())
     }
 
     /// Histogram of `idx`: one sequential pass in index order (each node's
@@ -786,35 +777,5 @@ impl Ctx<'_> {
             }
         }
         best
-    }
-}
-
-/// Pre-order flattening to the exact builder's array layout (parent, left
-/// subtree, right subtree).
-fn flatten(node: BNode, nodes: &mut Vec<Node>) -> usize {
-    match node {
-        BNode::Leaf { dist } => {
-            let my = nodes.len();
-            nodes.push(Node::Leaf { dist });
-            my
-        }
-        BNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => {
-            let my = nodes.len();
-            nodes.push(Node::Leaf { dist: Vec::new() });
-            let l = flatten(*left, nodes);
-            let r = flatten(*right, nodes);
-            nodes[my] = Node::Split {
-                feature,
-                threshold,
-                left: l,
-                right: r,
-            };
-            my
-        }
     }
 }

@@ -5,7 +5,7 @@
 use crate::jsonio;
 use crate::matrix::Matrix;
 use crate::tree::{Criterion, DecisionTree, MaxFeatures, Splitter, TreeParams};
-use crate::Classifier;
+use crate::{argmax, Classifier};
 use em_rt::Json;
 
 /// AdaBoost hyperparameters (sklearn `AdaBoostClassifier` with tree stumps).
@@ -132,10 +132,10 @@ impl Classifier for AdaBoostClassifier {
         assert!(!self.stages.is_empty(), "fit before predicting");
         let mut scores = Matrix::zeros(x.nrows(), self.n_classes);
         for (tree, alpha) in &self.stages {
-            let pred = tree.predict(x);
-            for (r, &c) in pred.iter().enumerate() {
+            tree.for_each_leaf(x, |r, dist| {
+                let c = argmax(dist);
                 scores.set(r, c, scores.get(r, c) + alpha);
-            }
+            });
         }
         // Softmax over the (scaled) vote scores for a probability-like output.
         let mut out = Matrix::zeros(x.nrows(), self.n_classes);
@@ -302,9 +302,7 @@ impl GradientBoostingClassifier {
     fn decision_function(&self, x: &Matrix) -> Vec<f64> {
         let mut f = vec![self.init_score; x.nrows()];
         for tree in &self.trees {
-            for (r, v) in tree.predict_values(x).into_iter().enumerate() {
-                f[r] += self.params.learning_rate * v;
-            }
+            tree.for_each_leaf(x, |r, v| f[r] += self.params.learning_rate * v[0]);
         }
         f
     }
@@ -387,9 +385,7 @@ impl Classifier for GradientBoostingClassifier {
                 tree.set_leaf_value(leaf, num / den);
             }
             // Update scores on the full training set.
-            for (r, v) in tree.predict_values(x).into_iter().enumerate() {
-                f[r] += self.params.learning_rate * v;
-            }
+            tree.for_each_leaf(x, |r, v| f[r] += self.params.learning_rate * v[0]);
             self.trees.push(tree);
         }
     }

@@ -8,7 +8,7 @@
 use crate::jsonio;
 use crate::matrix::Matrix;
 use crate::tree::{Criterion, DecisionTree, MaxFeatures, Splitter, TreeParams};
-use crate::Classifier;
+use crate::{argmax, Classifier};
 use em_rt::Json;
 use em_rt::StdRng;
 
@@ -132,6 +132,23 @@ fn fit_trees(
         .collect()
 }
 
+/// Mean of the trees' leaf distributions for every row of `x`. Trees walk
+/// the batch one at a time, so each row's sum accumulates in tree order.
+fn ensemble_proba(trees: &[DecisionTree], n_classes: usize, x: &Matrix) -> Matrix {
+    assert!(!trees.is_empty(), "fit before predicting");
+    let mut out = Matrix::zeros(x.nrows(), n_classes);
+    for tree in trees {
+        tree.for_each_leaf(x, |r, dist| {
+            for (o, &p) in out.row_mut(r).iter_mut().zip(dist) {
+                *o += p;
+            }
+        });
+    }
+    let k = trees.len() as f64;
+    out.as_mut_slice().iter_mut().for_each(|v| *v /= k);
+    out
+}
+
 /// Salt mixed into per-tree seeds so the bootstrap RNG and the split RNG
 /// draw independent streams.
 const BOOTSTRAP_SALT: u64 = 0xB001_57A9;
@@ -218,18 +235,7 @@ impl RandomForestClassifier {
         if seen.iter().any(|&s| !s) {
             return None;
         }
-        let pred: Vec<usize> = votes
-            .iter()
-            .map(|v| {
-                let mut best = 0;
-                for (c, &p) in v.iter().enumerate() {
-                    if p > v[best] {
-                        best = c;
-                    }
-                }
-                best
-            })
-            .collect();
+        let pred: Vec<usize> = votes.iter().map(|v| argmax(v)).collect();
         Some(crate::metrics::f1_score(y, &pred))
     }
 
@@ -243,16 +249,7 @@ impl RandomForestClassifier {
         let n = x.nrows();
         let mut votes = vec![vec![0usize; self.n_classes]; n];
         for tree in &self.trees {
-            for (r, row) in x.rows_iter().enumerate() {
-                let dist = tree.predict_proba_row(row);
-                let mut best = 0;
-                for (c, &p) in dist.iter().enumerate() {
-                    if p > dist[best] {
-                        best = c;
-                    }
-                }
-                votes[r][best] += 1;
-            }
+            tree.for_each_leaf(x, |r, dist| votes[r][argmax(dist)] += 1);
         }
         votes
             .iter()
@@ -268,23 +265,7 @@ impl Classifier for RandomForestClassifier {
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {
-        assert!(!self.trees.is_empty(), "fit before predicting");
-        let mut out = Matrix::zeros(x.nrows(), self.n_classes);
-        for tree in &self.trees {
-            for (r, row) in x.rows_iter().enumerate() {
-                let dist = tree.predict_proba_row(row);
-                for (c, &p) in dist.iter().enumerate() {
-                    out.set(r, c, out.get(r, c) + p);
-                }
-            }
-        }
-        let k = self.trees.len() as f64;
-        for r in 0..out.nrows() {
-            for c in 0..out.ncols() {
-                out.set(r, c, out.get(r, c) / k);
-            }
-        }
-        out
+        ensemble_proba(&self.trees, self.n_classes, x)
     }
 
     fn n_classes(&self) -> usize {
@@ -330,23 +311,7 @@ impl Classifier for ExtraTreesClassifier {
     }
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {
-        assert!(!self.trees.is_empty(), "fit before predicting");
-        let mut out = Matrix::zeros(x.nrows(), self.n_classes);
-        for tree in &self.trees {
-            for (r, row) in x.rows_iter().enumerate() {
-                let dist = tree.predict_proba_row(row);
-                for (c, &p) in dist.iter().enumerate() {
-                    out.set(r, c, out.get(r, c) + p);
-                }
-            }
-        }
-        let k = self.trees.len() as f64;
-        for r in 0..out.nrows() {
-            for c in 0..out.ncols() {
-                out.set(r, c, out.get(r, c) / k);
-            }
-        }
-        out
+        ensemble_proba(&self.trees, self.n_classes, x)
     }
 
     fn n_classes(&self) -> usize {
@@ -554,9 +519,7 @@ impl RandomForestRegressor {
         assert!(!self.trees.is_empty(), "fit before predicting");
         let mut out = vec![0.0; x.nrows()];
         for tree in &self.trees {
-            for (r, v) in tree.predict_values(x).into_iter().enumerate() {
-                out[r] += v;
-            }
+            tree.for_each_leaf(x, |r, v| out[r] += v[0]);
         }
         let k = self.trees.len() as f64;
         out.iter_mut().for_each(|v| *v /= k);
@@ -567,14 +530,14 @@ impl RandomForestRegressor {
     /// uncertainty SMAC's expected-improvement acquisition needs.
     pub fn predict_with_variance(&self, x: &Matrix) -> Vec<(f64, f64)> {
         assert!(!self.trees.is_empty(), "fit before predicting");
-        let per_tree: Vec<Vec<f64>> = self.trees.iter().map(|t| t.predict_values(x)).collect();
-        (0..x.nrows())
-            .map(|r| {
-                let vals: Vec<f64> = per_tree.iter().map(|p| p[r]).collect();
-                let m = crate::stats::mean(&vals);
-                let v = crate::stats::variance(&vals);
-                (m, v)
-            })
+        // Row-major: each row's tree values sit together, in tree order.
+        let k = self.trees.len();
+        let mut vals = vec![0.0; x.nrows() * k];
+        for (t, tree) in self.trees.iter().enumerate() {
+            tree.for_each_leaf(x, |r, v| vals[r * k + t] = v[0]);
+        }
+        vals.chunks(k)
+            .map(|v| (crate::stats::mean(v), crate::stats::variance(v)))
             .collect()
     }
 }

@@ -55,6 +55,19 @@ pub use split::{
 };
 pub use tree::{Criterion, DecisionTree, MaxFeatures, Splitter, TreeParams};
 
+/// Index of the first strictly largest value (0 for an empty slice): ties
+/// go to the lowest class. Every hard decision in the crate, and the
+/// serving path's, is taken with this rule.
+pub fn argmax(xs: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, &v) in xs.iter().enumerate() {
+        if v > xs[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 /// Common interface of every classifier in the crate. Implementations are
 /// created unfitted with their hyperparameter struct and trained in place.
 pub trait Classifier: Send + Sync {
@@ -65,21 +78,10 @@ pub trait Classifier: Send + Sync {
     /// Class-probability matrix (`n × n_classes`).
     fn predict_proba(&self, x: &Matrix) -> Matrix;
 
-    /// Hard class predictions (argmax of probabilities).
+    /// Hard class predictions ([`argmax`] of each probability row).
     fn predict(&self, x: &Matrix) -> Vec<usize> {
         let p = self.predict_proba(x);
-        (0..p.nrows())
-            .map(|r| {
-                let row = p.row(r);
-                let mut best = 0;
-                for (c, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = c;
-                    }
-                }
-                best
-            })
-            .collect()
+        (0..p.nrows()).map(|r| argmax(p.row(r))).collect()
     }
 
     /// Number of classes seen at fit time (0 before fitting).

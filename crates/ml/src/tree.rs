@@ -6,6 +6,7 @@
 //! MSE for regression, per-node random feature subsampling (`max_features`),
 //! and the extra-trees "random threshold" splitter.
 
+use crate::argmax;
 use crate::jsonio;
 use crate::matrix::Matrix;
 use em_rt::Json;
@@ -157,19 +158,138 @@ impl Default for TreeParams {
     }
 }
 
+/// `NodeArrays::feature` value marking a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// A tree's nodes as flat parallel arrays, indexed by node id, plus one
+/// contiguous array of leaf payloads. Node 0 is the root; every child index
+/// is larger than its parent's (both builders lay nodes out in pre-order,
+/// and `DecisionTree::from_json` rejects anything else), so a walk from the
+/// root strictly increases the node id and ends at a leaf in at most
+/// `len()` steps.
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
-    Leaf {
-        /// Classification: weighted class distribution (normalized).
-        /// Regression: single-element vector holding the leaf mean.
-        dist: Vec<f64>,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+pub(crate) struct NodeArrays {
+    /// Split feature per node, or [`LEAF`].
+    feature: Vec<u32>,
+    /// Split threshold per node (0 at leaves). Rows with `v <= t` (or NaN)
+    /// go left.
+    threshold: Vec<f64>,
+    /// Left child per node; at a leaf, the offset of its payload in `values`.
+    left: Vec<u32>,
+    /// Right child per node (0 at leaves).
+    right: Vec<u32>,
+    /// Leaf payloads, `width` values per leaf: the normalized class
+    /// distribution, or the one regression value.
+    values: Vec<f64>,
+    width: usize,
+}
+
+impl NodeArrays {
+    /// Empty arrays for leaves of `width` values.
+    pub(crate) fn new(width: usize) -> Self {
+        Self::with_capacity(width, 0, 0)
+    }
+
+    /// Empty arrays with room for `nodes` nodes and `values` payload values.
+    fn with_capacity(width: usize, nodes: usize, values: usize) -> Self {
+        NodeArrays {
+            feature: Vec::with_capacity(nodes),
+            threshold: Vec::with_capacity(nodes),
+            left: Vec::with_capacity(nodes),
+            right: Vec::with_capacity(nodes),
+            values: Vec::with_capacity(values),
+            width,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.feature.len()
+    }
+
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    fn is_leaf(&self, node: usize) -> bool {
+        self.feature[node] == LEAF
+    }
+
+    /// Append a leaf holding `payload`; returns its node id.
+    pub(crate) fn push_leaf(&mut self, payload: &[f64]) -> usize {
+        debug_assert_eq!(payload.len(), self.width);
+        let offset = u32_index(self.values.len());
+        self.values.extend_from_slice(payload);
+        self.push(LEAF, 0.0, offset, 0)
+    }
+
+    /// Append a split whose children are not built yet; returns its node id
+    /// for [`NodeArrays::set_children`].
+    pub(crate) fn push_split(&mut self, feature: usize, threshold: f64) -> usize {
+        self.push(u32_index(feature), threshold, 0, 0)
+    }
+
+    pub(crate) fn set_children(&mut self, node: usize, left: usize, right: usize) {
+        self.left[node] = u32_index(left);
+        self.right[node] = u32_index(right);
+    }
+
+    /// Append `other`'s nodes after these, shifting its child indices and
+    /// payload offsets; returns the node id `other`'s root lands on.
+    pub(crate) fn append(&mut self, other: NodeArrays) -> usize {
+        let (base, value_base) = (u32_index(self.len()), u32_index(self.values.len()));
+        for i in 0..other.len() {
+            let (l, r) = if other.is_leaf(i) {
+                (other.left[i] + value_base, 0)
+            } else {
+                (other.left[i] + base, other.right[i] + base)
+            };
+            self.push(other.feature[i], other.threshold[i], l, r);
+        }
+        self.values.extend_from_slice(&other.values);
+        base as usize
+    }
+
+    fn push(&mut self, feature: u32, threshold: f64, left: u32, right: u32) -> usize {
+        let id = self.len();
+        self.feature.push(feature);
+        self.threshold.push(threshold);
+        self.left.push(left);
+        self.right.push(right);
+        id
+    }
+
+    /// Leaf node id reached by `row`. NaN goes left by convention.
+    #[inline]
+    fn leaf_of(&self, row: &[f64]) -> usize {
+        let mut node = 0usize;
+        loop {
+            let f = self.feature[node];
+            if f == LEAF {
+                return node;
+            }
+            let v = row[f as usize];
+            node = if v <= self.threshold[node] || v.is_nan() {
+                self.left[node]
+            } else {
+                self.right[node]
+            } as usize;
+        }
+    }
+
+    /// Payload of leaf `node`.
+    #[inline]
+    fn payload(&self, node: usize) -> &[f64] {
+        let at = self.left[node] as usize;
+        &self.values[at..at + self.width]
+    }
+}
+
+/// A node id, feature index or payload offset as stored in [`NodeArrays`].
+fn u32_index(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&v| v != LEAF)
+        .expect("tree exceeds u32 indexing")
 }
 
 /// A fitted CART decision tree (classification or regression depending on
@@ -177,13 +297,18 @@ pub(crate) enum Node {
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     params: TreeParams,
-    nodes: Vec<Node>,
+    nodes: NodeArrays,
     /// Number of classes (0 for a regression tree).
     n_classes: usize,
     n_features: usize,
     /// Unnormalized mean-decrease-in-impurity per feature, accumulated at
     /// fit time (weight-of-node × impurity decrease per split).
     importances: Vec<f64>,
+}
+
+/// Values per leaf payload: one per class, or the one regression value.
+fn leaf_width(n_classes: usize) -> usize {
+    n_classes.max(1)
 }
 
 /// Target wrapper so classification and regression share one builder.
@@ -309,7 +434,7 @@ impl DecisionTree {
         };
         let mut tree = DecisionTree {
             params: params.clone(),
-            nodes: Vec::new(),
+            nodes: NodeArrays::new(leaf_width(n_classes)),
             n_classes,
             n_features: x.ncols(),
             importances: vec![0.0; x.ncols()],
@@ -364,25 +489,17 @@ impl DecisionTree {
                         // sklearn's `feature_importances_`.
                         let node_w: f64 = idx.iter().map(|&i| w[i]).sum();
                         self.importances[feature] += node_w * gain;
-                        // Reserve a slot so children see stable parent index.
-                        let my = self.nodes.len();
-                        self.nodes.push(Node::Leaf { dist: Vec::new() });
+                        // Pre-order: the split precedes both subtrees.
+                        let my = self.nodes.push_split(feature, threshold);
                         let left = self.build(x, target, w, left_idx, depth + 1, rng, splitter);
                         let right = self.build(x, target, w, right_idx, depth + 1, rng, splitter);
-                        self.nodes[my] = Node::Split {
-                            feature,
-                            threshold,
-                            left,
-                            right,
-                        };
+                        self.nodes.set_children(my, left, right);
                         return my;
                     }
                 }
             }
         }
-        let my = self.nodes.len();
-        self.nodes.push(Node::Leaf { dist: leaf_dist });
-        my
+        self.nodes.push_leaf(&leaf_dist)
     }
 
     /// Impurity and leaf payload for a node's sample set.
@@ -526,33 +643,22 @@ impl DecisionTree {
 
     /// Leaf index reached by sample `row` (used by gradient boosting).
     pub fn apply(&self, row: &[f64]) -> usize {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { .. } => return node,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    // NaN goes left by convention.
-                    let v = row[*feature];
-                    node = if v <= *threshold || v.is_nan() {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
+        self.nodes.leaf_of(row)
     }
 
     /// Class-probability distribution for one sample (classification only).
     pub fn predict_proba_row(&self, row: &[f64]) -> &[f64] {
-        match &self.nodes[self.apply(row)] {
-            Node::Leaf { dist } => dist,
-            Node::Split { .. } => unreachable!("apply returns leaves"),
+        self.nodes.payload(self.nodes.leaf_of(row))
+    }
+
+    /// Walk every row of `x` through the tree, in row order, and hand `f`
+    /// the row index and the payload of the leaf it reaches (the class
+    /// distribution, or the one regression value). Ensembles call this tree
+    /// by tree, so one tree's arrays stay hot across the whole batch.
+    #[inline]
+    pub(crate) fn for_each_leaf(&self, x: &Matrix, mut f: impl FnMut(usize, &[f64])) {
+        for (r, row) in x.rows_iter().enumerate() {
+            f(r, self.nodes.payload(self.nodes.leaf_of(row)));
         }
     }
 
@@ -560,38 +666,33 @@ impl DecisionTree {
     pub fn predict_proba(&self, x: &Matrix) -> Matrix {
         assert!(self.n_classes > 0, "regression tree has no probabilities");
         let mut out = Matrix::zeros(x.nrows(), self.n_classes);
-        for (r, row) in x.rows_iter().enumerate() {
-            out.row_mut(r).copy_from_slice(self.predict_proba_row(row));
-        }
+        self.for_each_leaf(x, |r, dist| out.row_mut(r).copy_from_slice(dist));
         out
     }
 
     /// Hard class predictions (classification only).
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        let proba = self.predict_proba(x);
-        (0..proba.nrows()).map(|r| argmax(proba.row(r))).collect()
+        assert!(self.n_classes > 0, "regression tree has no classes");
+        let mut out = vec![0; x.nrows()];
+        self.for_each_leaf(x, |r, dist| out[r] = argmax(dist));
+        out
     }
 
     /// Regression predictions (regression trees only).
     pub fn predict_values(&self, x: &Matrix) -> Vec<f64> {
         assert_eq!(self.n_classes, 0, "classification tree has no values");
-        x.rows_iter()
-            .map(|row| match &self.nodes[self.apply(row)] {
-                Node::Leaf { dist } => dist[0],
-                Node::Split { .. } => unreachable!(),
-            })
-            .collect()
+        let mut out = vec![0.0; x.nrows()];
+        self.for_each_leaf(x, |r, v| out[r] = v[0]);
+        out
     }
 
-    /// Overwrite the value of leaf `leaf` (gradient boosting's Newton step).
+    /// Overwrite the value of leaf `leaf` of a regression tree (gradient
+    /// boosting's Newton step).
     pub fn set_leaf_value(&mut self, leaf: usize, value: f64) {
-        match &mut self.nodes[leaf] {
-            Node::Leaf { dist } => {
-                dist.clear();
-                dist.push(value);
-            }
-            Node::Split { .. } => panic!("node {leaf} is not a leaf"),
-        }
+        assert_eq!(self.n_classes, 0, "only regression leaves hold one value");
+        assert!(self.nodes.is_leaf(leaf), "node {leaf} is not a leaf");
+        let at = self.nodes.left[leaf] as usize;
+        self.nodes.values[at] = value;
     }
 
     /// Total node count (diagnostics).
@@ -601,21 +702,31 @@ impl DecisionTree {
 
     /// Number of leaves (diagnostics).
     pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
+        self.nodes.feature.iter().filter(|&&f| f == LEAF).count()
+    }
+
+    /// Bytes the node and leaf arrays occupy (diagnostics).
+    pub fn node_bytes(&self) -> usize {
+        let n = &self.nodes;
+        n.feature.len() * 4
+            + n.threshold.len() * 8
+            + n.left.len() * 4
+            + n.right.len() * 4
+            + n.values.len() * 8
     }
 
     /// Depth of the fitted tree.
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], at: usize) -> usize {
-            match &nodes[at] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
+        // Children follow their parent, so one backward pass sees both
+        // children's depths before the parent's.
+        let n = &self.nodes;
+        let mut depth = vec![0usize; n.len()];
+        for i in (0..n.len()).rev() {
+            if !n.is_leaf(i) {
+                depth[i] = 1 + depth[n.left[i] as usize].max(depth[n.right[i] as usize]);
             }
         }
-        walk(&self.nodes, 0)
+        depth[0]
     }
 
     /// The number of features the tree was trained with.
@@ -727,74 +838,94 @@ impl TreeParams {
     }
 }
 
-fn node_to_json(node: &Node) -> Json {
-    match node {
-        Node::Leaf { dist } => Json::obj([("dist", jsonio::nums(dist))]),
-        Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => Json::obj([
-            ("f", Json::from(*feature)),
-            ("t", jsonio::num(*threshold)),
-            ("l", Json::from(*left)),
-            ("r", Json::from(*right)),
-        ]),
-    }
-}
-
-fn node_from_json(j: &Json) -> Result<Node, String> {
-    if let Some(dist) = j.get("dist") {
-        return Ok(Node::Leaf {
-            dist: jsonio::f64_vec(dist)?,
-        });
-    }
-    Ok(Node::Split {
-        feature: jsonio::as_usize(jsonio::field(j, "f")?)?,
-        threshold: jsonio::as_f64(jsonio::field(j, "t")?)?,
-        left: jsonio::as_usize(jsonio::field(j, "l")?)?,
-        right: jsonio::as_usize(jsonio::field(j, "r")?)?,
-    })
-}
-
 impl DecisionTree {
     /// Serialize the fitted tree (params, node array, importances) for the
-    /// model artifact.
+    /// model artifact. Nodes keep the artifact encoding of the original
+    /// node list: `{"dist": [...]}` per leaf, `{"f", "t", "l", "r"}` per
+    /// split.
     pub fn to_json(&self) -> Json {
+        let n = &self.nodes;
+        let nodes = (0..n.len()).map(|i| {
+            if n.is_leaf(i) {
+                Json::obj([("dist", jsonio::nums(n.payload(i)))])
+            } else {
+                Json::obj([
+                    ("f", Json::from(n.feature[i] as usize)),
+                    ("t", jsonio::num(n.threshold[i])),
+                    ("l", Json::from(n.left[i] as usize)),
+                    ("r", Json::from(n.right[i] as usize)),
+                ])
+            }
+        });
         Json::obj([
             ("params", self.params.to_json()),
             ("n_classes", Json::from(self.n_classes)),
             ("n_features", Json::from(self.n_features)),
             ("importances", jsonio::nums(&self.importances)),
-            ("nodes", Json::arr(self.nodes.iter().map(node_to_json))),
+            ("nodes", Json::arr(nodes)),
         ])
     }
 
-    /// Inverse of [`DecisionTree::to_json`]. Child indices are validated so
-    /// a corrupt artifact fails here rather than panicking at predict time.
+    /// Inverse of [`DecisionTree::to_json`]. A corrupt tree fails here
+    /// rather than at predict time: every split's feature must be below
+    /// `n_features` and both its children must lie after it (which also
+    /// guarantees every walk ends at a leaf), and every leaf must hold
+    /// `n_classes` values (one for a regression tree).
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let nodes: Vec<Node> = jsonio::field(j, "nodes")?
+        let n_classes = jsonio::as_usize(jsonio::field(j, "n_classes")?)?;
+        let n_features = jsonio::as_usize(jsonio::field(j, "n_features")?)?;
+        let list = jsonio::field(j, "nodes")?
             .as_arr()
-            .ok_or_else(|| "nodes must be an array".to_string())?
-            .iter()
-            .map(node_from_json)
-            .collect::<Result<_, _>>()?;
-        for node in &nodes {
-            if let Node::Split { left, right, .. } = node {
-                if *left >= nodes.len() || *right >= nodes.len() {
-                    return Err("tree node child index out of range".to_string());
-                }
-            }
-        }
-        if nodes.is_empty() {
+            .ok_or_else(|| "nodes must be an array".to_string())?;
+        if list.is_empty() {
             return Err("tree has no nodes".to_string());
+        }
+        // Exact-size arrays: a loaded forest is held for the life of the
+        // process, so it carries no growth slack. Capacities come from the
+        // document's own lengths, never from its `n_classes`.
+        let n_values = list
+            .iter()
+            .filter_map(|n| n.get("dist").and_then(Json::as_arr))
+            .map(<[Json]>::len)
+            .sum();
+        let mut nodes = NodeArrays::with_capacity(leaf_width(n_classes), list.len(), n_values);
+        for (i, node) in list.iter().enumerate() {
+            if let Some(dist) = node.get("dist") {
+                let dist = jsonio::f64_vec(dist)?;
+                if dist.len() != nodes.width {
+                    return Err(format!(
+                        "tree leaf {i} holds {} values, expected {}",
+                        dist.len(),
+                        nodes.width
+                    ));
+                }
+                nodes.push_leaf(&dist);
+                continue;
+            }
+            let feature = jsonio::as_usize(jsonio::field(node, "f")?)?;
+            let threshold = jsonio::as_f64(jsonio::field(node, "t")?)?;
+            let left = jsonio::as_usize(jsonio::field(node, "l")?)?;
+            let right = jsonio::as_usize(jsonio::field(node, "r")?)?;
+            if feature >= n_features || feature >= LEAF as usize {
+                return Err(format!(
+                    "tree node {i} splits on feature {feature} of {n_features}"
+                ));
+            }
+            if left <= i || right <= i || left >= list.len() || right >= list.len() {
+                return Err(format!(
+                    "tree node {i} has children {left}/{right}: each must lie after it and \
+                     within the {} nodes",
+                    list.len()
+                ));
+            }
+            nodes.push_split(feature, threshold);
+            nodes.set_children(i, left, right);
         }
         Ok(DecisionTree {
             params: TreeParams::from_json(jsonio::field(j, "params")?)?,
             nodes,
-            n_classes: jsonio::as_usize(jsonio::field(j, "n_classes")?)?,
-            n_features: jsonio::as_usize(jsonio::field(j, "n_features")?)?,
+            n_classes,
+            n_features,
             importances: jsonio::f64_vec(jsonio::field(j, "importances")?)?,
         })
     }
@@ -939,16 +1070,6 @@ pub(crate) fn exact_best_threshold(
 
 pub(crate) fn midpoint(a: f64, b: f64) -> f64 {
     a + (b - a) / 2.0
-}
-
-fn argmax(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &v) in xs.iter().enumerate() {
-        if v > xs[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 pub(crate) fn impurity_from_counts(counts: &[f64], total: f64, criterion: Criterion) -> f64 {
@@ -1155,6 +1276,65 @@ mod tests {
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
         let t = DecisionTree::fit_classifier(&x, &[1, 1], 2, None, TreeParams::default());
         assert_eq!(t.feature_importances(), vec![0.0]);
+    }
+
+    /// A tree artifact over 2 features with the given `nodes` array.
+    fn load_tree(n_classes: usize, nodes: &str) -> Result<DecisionTree, String> {
+        let params = TreeParams::default().to_json().render();
+        let doc = format!(
+            r#"{{"params":{params},"n_classes":{n_classes},"n_features":2,"importances":[0,0],"nodes":{nodes}}}"#
+        );
+        DecisionTree::from_json(&Json::parse(&doc).unwrap())
+    }
+
+    /// A valid 5-node tree: root splits on feature 0, node 2 on feature 1.
+    const VALID: &str = r#"[{"f":0,"t":0.5,"l":1,"r":2},{"dist":[1,0]},{"f":1,"t":0.5,"l":3,"r":4},{"dist":[0,1]},{"dist":[0.5,0.5]}]"#;
+
+    #[test]
+    fn hand_written_tree_loads_and_routes() {
+        let t = load_tree(2, VALID).expect("valid tree");
+        assert_eq!((t.n_nodes(), t.n_leaves(), t.depth()), (5, 3, 2));
+        let x = Matrix::from_rows(&[vec![0.0, 9.0], vec![1.0, 0.0], vec![1.0, 1.0]]);
+        assert_eq!(
+            t.predict_proba(&x).as_slice(),
+            &[1.0, 0.0, 0.0, 1.0, 0.5, 0.5]
+        );
+        // The tie row picks the first class.
+        assert_eq!(t.predict(&x), vec![0, 1, 0]);
+    }
+
+    // Each corrupt tree below must fail at load time; none is ever walked.
+
+    #[test]
+    fn from_json_rejects_a_child_pointing_at_itself() {
+        let nodes = VALID.replacen(r#""l":1"#, r#""l":0"#, 1);
+        assert!(load_tree(2, &nodes).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_a_child_pointing_at_an_ancestor() {
+        let nodes = VALID.replacen(r#""r":4"#, r#""r":0"#, 1);
+        assert!(load_tree(2, &nodes).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_an_out_of_range_feature() {
+        let nodes = VALID.replacen(r#""f":1"#, r#""f":2"#, 1);
+        assert!(load_tree(2, &nodes).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_a_leaf_of_the_wrong_width() {
+        let nodes = VALID.replacen("[1,0]", "[1,0,0]", 1);
+        assert!(load_tree(2, &nodes).is_err());
+        // A regression tree's leaves hold exactly one value.
+        assert!(load_tree(0, VALID).is_err());
+        assert!(load_tree(0, r#"[{"dist":[1.5]}]"#).is_ok());
+    }
+
+    #[test]
+    fn from_json_rejects_an_empty_tree() {
+        assert!(load_tree(2, "[]").is_err());
     }
 
     #[test]

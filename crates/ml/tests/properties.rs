@@ -1,6 +1,6 @@
 //! Property-based tests for the ML substrate: scaler invertibility, imputer
-//! totality, metric bounds, tree/forest invariants, selector bounds, and
-//! special-function identities.
+//! totality, metric bounds, tree/forest invariants, tree layout round trips,
+//! selector bounds, and special-function identities.
 //!
 //! Each property runs over `CASES` deterministically seeded random inputs
 //! drawn from the `em-rt` RNG; on failure the offending seed is printed so
@@ -9,8 +9,11 @@
 use em_ml::featsel::{select_percentile, variance_threshold, ScoreFunc};
 use em_ml::preprocess::{FittedScaler, ImputeStrategy, ScalerKind, SimpleImputer};
 use em_ml::stats::{betainc, chi2_sf, f_sf, ln_gamma};
-use em_ml::{f1_score, Classifier, ForestParams, Matrix, RandomForestClassifier, TreeParams};
-use em_rt::StdRng;
+use em_ml::{
+    f1_score, Classifier, DecisionTree, ForestParams, GradientBoostingClassifier,
+    GradientBoostingParams, Matrix, MaxFeatures, RandomForestClassifier, Splitter, TreeParams,
+};
+use em_rt::{Json, StdRng};
 
 const CASES: u64 = 64;
 
@@ -162,6 +165,100 @@ fn tree_training_accuracy_is_perfect_without_limits() {
             let t = em_ml::DecisionTree::fit_classifier(&xu, &yu, 2, None, TreeParams::default());
             assert_eq!(t.predict(&xu), yu);
         }
+    });
+}
+
+/// `to_json → from_json` of `tree`, asserting the second rendering is
+/// byte-identical to the first.
+fn tree_round_trip(tree: &DecisionTree) -> DecisionTree {
+    let doc = tree.to_json().render();
+    let back = DecisionTree::from_json(&Json::parse(&doc).unwrap()).expect("tree reloads");
+    assert_eq!(back.to_json().render(), doc, "tree JSON changed on reload");
+    back
+}
+
+fn assert_bits_eq(a: &[f64], b: &[f64]) {
+    assert_eq!(a.len(), b.len());
+    for (i, (p, q)) in a.iter().zip(b).enumerate() {
+        assert_eq!(p.to_bits(), q.to_bits(), "value {i}: {p} vs {q}");
+    }
+}
+
+/// Tree parameters for one of the three split engines, with random limits.
+fn engine_params(rng: &mut StdRng, splitter: Splitter) -> TreeParams {
+    TreeParams {
+        max_depth: if rng.random_bool(0.3) { Some(3) } else { None },
+        min_samples_leaf: rng.random_range(1..3usize),
+        max_features: if rng.random_bool(0.5) {
+            MaxFeatures::All
+        } else {
+            MaxFeatures::Sqrt
+        },
+        splitter,
+        n_bins: rng.random_range(4..64usize),
+        seed: rng.random_range(0..1000u64),
+        ..TreeParams::default()
+    }
+}
+
+#[test]
+fn tree_layout_round_trips_for_every_engine() {
+    check(|rng| {
+        let x = random_matrix(rng, 60, 4);
+        let y = random_labels(rng, x.nrows());
+        let targets: Vec<f64> = (0..x.nrows())
+            .map(|_| rng.random_range(-5.0f64..5.0))
+            .collect();
+        for splitter in [Splitter::Best, Splitter::Binned, Splitter::Random] {
+            let clf = DecisionTree::fit_classifier(&x, &y, 2, None, engine_params(rng, splitter));
+            let back = tree_round_trip(&clf);
+            assert_bits_eq(
+                clf.predict_proba(&x).as_slice(),
+                back.predict_proba(&x).as_slice(),
+            );
+            assert_eq!(clf.predict(&x), back.predict(&x));
+
+            let reg = DecisionTree::fit_regressor(&x, &targets, None, engine_params(rng, splitter));
+            let back = tree_round_trip(&reg);
+            assert_bits_eq(&reg.predict_values(&x), &back.predict_values(&x));
+        }
+    });
+}
+
+#[test]
+fn boosted_leaf_values_round_trip() {
+    check(|rng| {
+        let x = random_matrix(rng, 60, 3);
+        let y = random_labels(rng, x.nrows());
+        let targets: Vec<f64> = y.iter().map(|&c| c as f64).collect();
+        // Newton-step overwrite on a bare regression tree.
+        let mut tree = DecisionTree::fit_regressor(&x, &targets, None, TreeParams::default());
+        let leaf = tree.apply(x.row(rng.random_range(0..x.nrows())));
+        tree.set_leaf_value(leaf, rng.random_range(-3.0f64..3.0));
+        let back = tree_round_trip(&tree);
+        assert_bits_eq(&tree.predict_values(&x), &back.predict_values(&x));
+
+        // And through a fitted booster, whose every leaf was overwritten.
+        let splitter = if rng.random_bool(0.5) {
+            Splitter::Best
+        } else {
+            Splitter::Binned
+        };
+        let mut gb = GradientBoostingClassifier::new(GradientBoostingParams {
+            n_estimators: 8,
+            subsample: 0.8,
+            splitter,
+            seed: rng.random_range(0..1000u64),
+            ..GradientBoostingParams::default()
+        });
+        gb.fit(&x, &y, 2, None);
+        let doc = gb.to_json().render();
+        let gb_back = GradientBoostingClassifier::from_json(&Json::parse(&doc).unwrap()).unwrap();
+        assert_eq!(gb_back.to_json().render(), doc);
+        assert_bits_eq(
+            gb.predict_proba(&x).as_slice(),
+            gb_back.predict_proba(&x).as_slice(),
+        );
     });
 }
 

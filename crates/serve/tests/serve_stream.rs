@@ -206,6 +206,61 @@ fn artifact_round_trip_is_bit_identical_across_config_zoo() {
 }
 
 #[test]
+fn predict_with_scores_decisions_equal_predict_across_config_zoo() {
+    let _guard = serialize();
+    ensure_pool();
+    let (_, _, x, y) = fixture(7);
+    for (i, config) in config_zoo(7).into_iter().enumerate() {
+        let fitted = config.fit(&x, &y);
+        let scored = fitted.predict_with_scores(&x);
+        let decisions: Vec<usize> = scored.iter().map(|&(_, m)| usize::from(m)).collect();
+        assert_eq!(decisions, fitted.predict(&x), "config {i}: decisions");
+        let scores: Vec<f64> = scored.iter().map(|&(p, _)| p).collect();
+        let proba = fitted.predict_match_proba(&x);
+        assert_eq!(
+            scores.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            proba.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            "config {i}: scores"
+        );
+    }
+}
+
+#[test]
+fn two_tree_tie_decides_class_zero() {
+    let _guard = serialize();
+    ensure_pool();
+    let (_, _, x, y) = fixture(5);
+    let fitted = EmPipelineConfig::default_random_forest(5).fit(&x, &y);
+    // Keep the fitted preprocessing; swap the forest for two single-leaf
+    // trees that vote [1, 0] and [0, 1], so every row scores 0.5 / 0.5.
+    let em_rt::Json::Obj(mut doc) = fitted.to_json() else {
+        panic!("pipeline JSON is an object");
+    };
+    let (_, model) = doc.iter_mut().find(|(k, _)| k == "model").unwrap();
+    let em_rt::Json::Obj(model) = model else {
+        panic!("model JSON is an object");
+    };
+    let (_, trees) = model.iter_mut().find(|(k, _)| k == "trees").unwrap();
+    let em_rt::Json::Arr(trees) = trees else {
+        panic!("trees JSON is an array");
+    };
+    trees.truncate(2);
+    for (tree, dist) in trees.iter_mut().zip(["[1,0]", "[0,1]"]) {
+        let em_rt::Json::Obj(tree) = tree else {
+            panic!("tree JSON is an object");
+        };
+        let (_, nodes) = tree.iter_mut().find(|(k, _)| k == "nodes").unwrap();
+        *nodes = em_rt::Json::parse(&format!(r#"[{{"dist":{dist}}}]"#)).unwrap();
+    }
+    let tied = FittedEmPipeline::from_json(&em_rt::Json::Obj(doc)).expect("tied forest loads");
+    assert_eq!(tied.predict(&x), vec![0; x.nrows()]);
+    for (p, matched) in tied.predict_with_scores(&x) {
+        assert_eq!(p, 0.5);
+        assert!(!matched, "a 0.5 / 0.5 tie must decide class 0");
+    }
+}
+
+#[test]
 fn artifact_load_rejects_wrong_format_and_version() {
     let _guard = serialize();
     ensure_pool();
