@@ -10,7 +10,8 @@
 //!   search never serialize on a global lock.
 //! * [`Counter`] / [`Histogram`] — domain metrics (candidate pairs emitted,
 //!   surrogate refits, …) as `static` items with fixed log2-scale buckets,
-//!   registered lazily on first touch.
+//!   registered lazily on first touch. Each metric is declared once and
+//!   feeds both the trace and the rolling windows of [`live`].
 //! * [`event`] — a structured, low-frequency event log: search-trajectory
 //!   events (suggestion, eval start/finish, incumbent updates, per-fold F1),
 //!   active-learning loop events, pool lifecycle. Events serialize

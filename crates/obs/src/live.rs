@@ -2,18 +2,14 @@
 //! process-wide health registry — the read-while-it-runs counterpart to the
 //! post-hoc trace in the crate root.
 //!
-//! The trace layer ([`Counter`](crate::Counter) / [`Histogram`](crate::Histogram))
-//! accumulates from process start and flushes once at exit; a long-running
-//! server instead wants "what happened in the last minute". Every windowed
-//! metric here owns a ring of [`RING_LEN`] time slices, each a log2-bucket
-//! histogram stamped with its slice epoch (`now_ns / slice_ns` off the shared
-//! monotonic timebase in `em_rt::stats`). Recording rotates the ring lazily:
-//! the slot for the current epoch is cleared the first time a new epoch
-//! touches it, so there is no background sweeper thread and an idle metric
-//! costs nothing. Snapshots merge the slices whose epochs fall inside the
-//! requested [`Window`] (10s / 1m / 5m with the default 5-second slice), so a
-//! reported rate or quantile describes a trailing window with one-slice
-//! resolution.
+//! The trace accumulates from process start and flushes once at exit; a
+//! long-running server instead wants "what happened in the last minute".
+//! There is no second metric type for that: every
+//! [`Counter`](crate::Counter) and [`Histogram`](crate::Histogram) also
+//! feeds a ring of [`RING_LEN`] time slices while live telemetry is on (see
+//! [`crate::metrics`]), and [`render_metrics`] snapshots those rings over
+//! the trailing [`Window`]s (10s / 1m / 5m with the default 5-second
+//! slice). [`Gauge`] adds last-value readings.
 //!
 //! Everything is gated on [`enabled`], flipped when a metrics endpoint starts
 //! (`EM_METRICS`): while off, every instrumentation site is one relaxed
@@ -29,16 +25,16 @@
 //! retains the K worst requests seen so far. [`set_health`] lets serving
 //! components publish invariant-check results for the `/healthz` endpoint.
 
+use crate::metrics::{lock, Metric, Presence};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Default width of one ring slice: 5 seconds.
 pub const DEFAULT_SLICE_NS: u64 = 5_000_000_000;
 /// Slices per ring: 64 x 5s = 320s of history, enough to cover the 5-minute
 /// window with headroom.
 pub const RING_LEN: usize = 64;
-const BUCKETS: usize = 65;
 
 static LIVE: AtomicBool = AtomicBool::new(false);
 
@@ -104,7 +100,8 @@ pub struct WindowStats {
     pub rate_per_sec: f64,
     /// Sum of observed values inside the window (counters: equals `count`).
     pub sum: u64,
-    /// Exact min/max observed inside the window, `None` while empty.
+    /// Exact min/max observed inside the window, `None` while empty
+    /// (counters: always `None`).
     pub min: Option<u64>,
     pub max: Option<u64>,
     /// Log2-bucket quantiles clamped to the exact observed `[min, max]`
@@ -113,352 +110,12 @@ pub struct WindowStats {
     pub p99: Option<u64>,
 }
 
-#[inline]
-fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-/// Nearest-rank quantile over merged log2 buckets: the bucket upper bound
-/// clamped to the exact observed `[min, max]` — the same rule as
-/// [`crate::Histogram::quantile`], so windowed and post-hoc quantiles over
-/// the same data agree exactly.
-fn merged_quantile(
-    buckets: &[u64; BUCKETS],
-    total: u64,
-    q: f64,
-    min: u64,
-    max: u64,
-) -> Option<u64> {
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            let upper = if i == 0 {
-                0
-            } else if i >= 64 {
-                u64::MAX
-            } else {
-                1u64 << i
-            };
-            return Some(upper.clamp(min, max));
-        }
-    }
-    None
-}
-
-#[derive(Clone)]
-struct Slice {
-    /// Which epoch this slot currently holds; `u64::MAX` = never written.
-    epoch: u64,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: [u32; BUCKETS],
-}
-
-const EMPTY_SLICE: Slice = Slice {
-    epoch: u64::MAX,
-    count: 0,
-    sum: 0,
-    min: u64::MAX,
-    max: 0,
-    buckets: [0; BUCKETS],
-};
-
-struct Ring {
-    slices: Vec<Slice>,
-}
-
-impl Ring {
-    fn new() -> Ring {
-        Ring {
-            slices: vec![EMPTY_SLICE; RING_LEN],
-        }
-    }
-
-    /// The slot for `epoch`, cleared first if it still holds an older epoch.
-    /// This lazy rotation is the only way slices are ever reset.
-    fn slot(&mut self, epoch: u64) -> &mut Slice {
-        let s = &mut self.slices[(epoch % RING_LEN as u64) as usize];
-        if s.epoch != epoch {
-            *s = EMPTY_SLICE;
-            s.epoch = epoch;
-        }
-        s
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// A named histogram with both cumulative totals and trailing-window
-/// quantiles. Declare as a `static`; like the trace-layer metrics it costs
-/// nothing (and allocates nothing) until first recorded into while live
-/// telemetry is enabled.
-pub struct WindowedHistogram {
-    name: &'static str,
-    slice_ns: u64,
-    total_count: AtomicU64,
-    total_sum: AtomicU64,
-    registered: AtomicBool,
-    ring: Mutex<Option<Box<Ring>>>,
-}
-
-impl WindowedHistogram {
-    /// Declare with the default 5-second slice (usable in `static` position).
-    pub const fn new(name: &'static str) -> WindowedHistogram {
-        WindowedHistogram::with_slice_ns(name, DEFAULT_SLICE_NS)
-    }
-
-    /// Declare with a custom slice width — tests use millisecond slices to
-    /// exercise rotation without waiting out wall-clock windows.
-    pub const fn with_slice_ns(name: &'static str, slice_ns: u64) -> WindowedHistogram {
-        WindowedHistogram {
-            name,
-            slice_ns,
-            total_count: AtomicU64::new(0),
-            total_sum: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-            ring: Mutex::new(None),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn register(&'static self) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&METRICS).push(Metric::Histogram(self));
-        }
-    }
-
-    /// Count one observation of `v` at the current time (no-op while live
-    /// telemetry is off).
-    #[inline]
-    pub fn record(&'static self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        self.record_at(em_rt::stats::now_ns(), v);
-    }
-
-    /// Count a batch of observations under one lock acquisition (no-op while
-    /// live telemetry is off). Hot paths that observe per-item values (e.g.
-    /// per-pair match scores) use this to avoid a lock round-trip per item.
-    pub fn record_all<I: IntoIterator<Item = u64>>(&'static self, values: I) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        let epoch = em_rt::stats::now_ns() / self.slice_ns;
-        let mut guard = lock(&self.ring);
-        let ring = guard.get_or_insert_with(|| Box::new(Ring::new()));
-        let s = ring.slot(epoch);
-        let (mut n, mut sum) = (0u64, 0u64);
-        for v in values {
-            n += 1;
-            sum += v;
-            s.count += 1;
-            s.sum += v;
-            s.min = s.min.min(v);
-            s.max = s.max.max(v);
-            s.buckets[bucket_index(v)] += 1;
-        }
-        drop(guard);
-        self.total_count.fetch_add(n, Ordering::Relaxed);
-        self.total_sum.fetch_add(sum, Ordering::Relaxed);
-    }
-
-    /// Record at an explicit timestamp. Driver/test hook: not gated on
-    /// [`enabled`] and does not self-register, so tests can drive synthetic
-    /// time deterministically.
-    pub fn record_at(&self, now_ns: u64, v: u64) {
-        let epoch = now_ns / self.slice_ns;
-        {
-            let mut guard = lock(&self.ring);
-            let ring = guard.get_or_insert_with(|| Box::new(Ring::new()));
-            let s = ring.slot(epoch);
-            s.count += 1;
-            s.sum += v;
-            s.min = s.min.min(v);
-            s.max = s.max.max(v);
-            s.buckets[bucket_index(v)] += 1;
-        }
-        self.total_count.fetch_add(1, Ordering::Relaxed);
-        self.total_sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Cumulative observation count since process start.
-    pub fn total_count(&self) -> u64 {
-        self.total_count.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative sum of observed values since process start.
-    pub fn total_sum(&self) -> u64 {
-        self.total_sum.load(Ordering::Relaxed)
-    }
-
-    /// Trailing-window snapshot at the current time.
-    pub fn stats(&self, window: Window) -> WindowStats {
-        self.stats_at(em_rt::stats::now_ns(), window)
-    }
-
-    /// Trailing-window snapshot at an explicit timestamp (test hook).
-    pub fn stats_at(&self, now_ns: u64, window: Window) -> WindowStats {
-        let epoch = now_ns / self.slice_ns;
-        let n = window.slices().min(RING_LEN as u64);
-        let lo = epoch.saturating_sub(n - 1);
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        let mut buckets = [0u64; BUCKETS];
-        if let Some(ring) = lock(&self.ring).as_ref() {
-            for s in &ring.slices {
-                if s.epoch >= lo && s.epoch <= epoch {
-                    count += s.count;
-                    sum += s.sum;
-                    min = min.min(s.min);
-                    max = max.max(s.max);
-                    for (acc, b) in buckets.iter_mut().zip(s.buckets.iter()) {
-                        *acc += *b as u64;
-                    }
-                }
-            }
-        }
-        let window_secs = (n * self.slice_ns) as f64 / 1e9;
-        WindowStats {
-            window,
-            window_secs,
-            count,
-            rate_per_sec: count as f64 / window_secs,
-            sum,
-            min: (count > 0).then_some(min),
-            max: (count > 0).then_some(max),
-            p50: merged_quantile(&buckets, count, 0.50, min, max),
-            p99: merged_quantile(&buckets, count, 0.99, min, max),
-        }
-    }
-}
-
-/// A named monotonic counter with trailing-window rates. Declare as a
-/// `static`.
-pub struct WindowedCounter {
-    name: &'static str,
-    slice_ns: u64,
-    total: AtomicU64,
-    registered: AtomicBool,
-    ring: Mutex<Option<Box<Ring>>>,
-}
-
-impl WindowedCounter {
-    /// Declare with the default 5-second slice (usable in `static` position).
-    pub const fn new(name: &'static str) -> WindowedCounter {
-        WindowedCounter::with_slice_ns(name, DEFAULT_SLICE_NS)
-    }
-
-    /// Declare with a custom slice width (test hook).
-    pub const fn with_slice_ns(name: &'static str, slice_ns: u64) -> WindowedCounter {
-        WindowedCounter {
-            name,
-            slice_ns,
-            total: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-            ring: Mutex::new(None),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Add `n` at the current time (no-op while live telemetry is off).
-    #[inline]
-    pub fn add(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&METRICS).push(Metric::Counter(self));
-        }
-        self.add_at(em_rt::stats::now_ns(), n);
-    }
-
-    /// Add 1 (no-op while live telemetry is off).
-    #[inline]
-    pub fn incr(&'static self) {
-        self.add(1);
-    }
-
-    /// Add at an explicit timestamp. Driver/test hook: ungated, unregistered.
-    pub fn add_at(&self, now_ns: u64, n: u64) {
-        let epoch = now_ns / self.slice_ns;
-        {
-            let mut guard = lock(&self.ring);
-            let ring = guard.get_or_insert_with(|| Box::new(Ring::new()));
-            let s = ring.slot(epoch);
-            s.count += n;
-            s.sum += n;
-        }
-        self.total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Cumulative total since process start.
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Trailing-window count + rate at the current time.
-    pub fn stats(&self, window: Window) -> WindowStats {
-        self.stats_at(em_rt::stats::now_ns(), window)
-    }
-
-    /// Trailing-window count + rate at an explicit timestamp (test hook).
-    pub fn stats_at(&self, now_ns: u64, window: Window) -> WindowStats {
-        let epoch = now_ns / self.slice_ns;
-        let n = window.slices().min(RING_LEN as u64);
-        let lo = epoch.saturating_sub(n - 1);
-        let mut count = 0u64;
-        if let Some(ring) = lock(&self.ring).as_ref() {
-            for s in &ring.slices {
-                if s.epoch >= lo && s.epoch <= epoch {
-                    count += s.count;
-                }
-            }
-        }
-        let window_secs = (n * self.slice_ns) as f64 / 1e9;
-        WindowStats {
-            window,
-            window_secs,
-            count,
-            rate_per_sec: count as f64 / window_secs,
-            sum: count,
-            min: None,
-            max: None,
-            p50: None,
-            p99: None,
-        }
-    }
-}
-
 /// A named last-value gauge (RSS, index size, stale debt, …). Declare as a
 /// `static`.
 pub struct Gauge {
     name: &'static str,
     value: AtomicU64,
-    registered: AtomicBool,
+    presence: Presence,
 }
 
 impl Gauge {
@@ -467,7 +124,7 @@ impl Gauge {
         Gauge {
             name,
             value: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
+            presence: Presence::new(),
         }
     }
 
@@ -481,9 +138,7 @@ impl Gauge {
         if !enabled() {
             return;
         }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&METRICS).push(Metric::Gauge(self));
-        }
+        self.presence.touch(false, || Metric::Gauge(self));
         self.value.store(v, Ordering::Relaxed);
     }
 
@@ -493,23 +148,6 @@ impl Gauge {
     }
 }
 
-enum Metric {
-    Counter(&'static WindowedCounter),
-    Histogram(&'static WindowedHistogram),
-    Gauge(&'static Gauge),
-}
-
-impl Metric {
-    fn name(&self) -> &'static str {
-        match self {
-            Metric::Counter(c) => c.name,
-            Metric::Histogram(h) => h.name,
-            Metric::Gauge(g) => g.name,
-        }
-    }
-}
-
-static METRICS: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
 static REQUEST_LOGS: Mutex<Vec<&'static RequestLog>> = Mutex::new(Vec::new());
 
 /// Render every registered metric as `key value` text lines (the `/metrics`
@@ -524,49 +162,7 @@ pub fn render_metrics() -> String {
 pub fn render_metrics_at(now_ns: u64) -> String {
     let mut out = String::new();
     out.push_str(&format!("em.uptime_secs {:.1}\n", now_ns as f64 / 1e9));
-    let guard = lock(&METRICS);
-    let mut order: Vec<usize> = (0..guard.len()).collect();
-    order.sort_by_key(|&i| guard[i].name());
-    for i in order {
-        match &guard[i] {
-            Metric::Gauge(g) => out.push_str(&format!("{} {}\n", g.name, g.value())),
-            Metric::Counter(c) => {
-                out.push_str(&format!("{}.total {}\n", c.name, c.total()));
-                for w in Window::ALL {
-                    let s = c.stats_at(now_ns, w);
-                    let l = w.label();
-                    out.push_str(&format!("{}.{l}.count {}\n", c.name, s.count));
-                    out.push_str(&format!(
-                        "{}.{l}.rate_per_s {:.3}\n",
-                        c.name, s.rate_per_sec
-                    ));
-                }
-            }
-            Metric::Histogram(h) => {
-                out.push_str(&format!("{}.total.count {}\n", h.name, h.total_count()));
-                out.push_str(&format!("{}.total.sum {}\n", h.name, h.total_sum()));
-                for w in Window::ALL {
-                    let s = h.stats_at(now_ns, w);
-                    let l = w.label();
-                    out.push_str(&format!("{}.{l}.count {}\n", h.name, s.count));
-                    out.push_str(&format!(
-                        "{}.{l}.rate_per_s {:.3}\n",
-                        h.name, s.rate_per_sec
-                    ));
-                    for (stat, v) in [
-                        ("p50", s.p50),
-                        ("p99", s.p99),
-                        ("min", s.min),
-                        ("max", s.max),
-                    ] {
-                        if let Some(v) = v {
-                            out.push_str(&format!("{}.{l}.{stat} {v}\n", h.name));
-                        }
-                    }
-                }
-            }
-        }
-    }
+    crate::metrics::render_windows(now_ns, &mut out);
     out
 }
 

@@ -1,10 +1,12 @@
 //! Live-telemetry tests: window rotation and count conservation (including
 //! an 8-thread hammer across rotations), sampler determinism, the slow-query
-//! log bound, min/max-clamped quantiles, and the text renderers. Tests that
-//! flip the global live switch or touch the health registry serialize on a
-//! mutex.
+//! log bound, min/max-clamped quantiles, trace-vs-window agreement on one
+//! metric, and the text renderers. Tests that flip the global live or trace
+//! switch or touch the health registry serialize on a mutex.
 
-use em_obs::live::{self, RequestLog, RequestRecord, Window, WindowedCounter, WindowedHistogram};
+use em_obs::live::{self, RequestLog, RequestRecord, Window};
+use em_obs::{report, Counter, Histogram, TraceMode};
+use em_rt::Json;
 use std::sync::{Mutex, MutexGuard};
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -17,7 +19,7 @@ const SLICE: u64 = 1_000_000;
 
 #[test]
 fn windowed_histogram_rotates_and_windows_slices() {
-    static H: WindowedHistogram = WindowedHistogram::with_slice_ns("test.rotate", SLICE);
+    static H: Histogram = Histogram::with_slice_ns("test.rotate", SLICE);
     // Epoch 0: two fast observations; epoch 1: one slow one.
     H.record_at(0, 100);
     H.record_at(SLICE / 2, 200);
@@ -36,7 +38,7 @@ fn windowed_histogram_rotates_and_windows_slices() {
     assert_eq!(s.p99, Some(4000));
     // When the tail shares one bucket, clamping pins the quantile to the
     // true max (the small-sample p99 fix from BENCH_serve.json).
-    static NARROW: WindowedHistogram = WindowedHistogram::with_slice_ns("test.narrow", SLICE);
+    static NARROW: Histogram = Histogram::with_slice_ns("test.narrow", SLICE);
     NARROW.record_at(0, 1_100_000);
     NARROW.record_at(0, 1_150_000);
     let n = NARROW.stats_at(0, Window::TenSec);
@@ -54,13 +56,13 @@ fn windowed_histogram_rotates_and_windows_slices() {
     let s = H.stats_at(1000 * SLICE, Window::FiveMin);
     assert_eq!(s.count, 0);
     assert_eq!((s.p50, s.min), (None, None));
-    assert_eq!(H.total_count(), 3);
-    assert_eq!(H.total_sum(), 4300);
+    assert_eq!(H.live_count(), 3);
+    assert_eq!(H.live_sum(), 4300);
 }
 
 #[test]
 fn ring_slot_reuse_discards_expired_epochs() {
-    static H: WindowedHistogram = WindowedHistogram::with_slice_ns("test.reuse", SLICE);
+    static H: Histogram = Histogram::with_slice_ns("test.reuse", SLICE);
     // Epoch 0 and epoch RING_LEN map to the same ring slot; writing the
     // later epoch must evict the earlier one, not merge with it.
     H.record_at(0, 10);
@@ -69,12 +71,12 @@ fn ring_slot_reuse_discards_expired_epochs() {
     let s = H.stats_at(wrapped, Window::FiveMin);
     assert_eq!(s.count, 1);
     assert_eq!(s.min, Some(20));
-    assert_eq!(H.total_count(), 2);
+    assert_eq!(H.live_count(), 2);
 }
 
 #[test]
 fn concurrent_hammer_conserves_counts_across_rotations() {
-    static H: WindowedHistogram = WindowedHistogram::with_slice_ns("test.hammer", SLICE);
+    static H: Histogram = Histogram::with_slice_ns("test.hammer", SLICE);
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 20_000;
     // Each thread records across epochs 0..40 (interleaved with the other
@@ -98,7 +100,7 @@ fn concurrent_hammer_conserves_counts_across_rotations() {
             }
         });
     });
-    assert_eq!(H.total_count(), THREADS * PER_THREAD);
+    assert_eq!(H.live_count(), THREADS * PER_THREAD);
     // The 5m window (60 slices) covers all 40 epochs: every record is still
     // in the ring.
     let s = H.stats_at((EPOCHS - 1) * SLICE, Window::FiveMin);
@@ -109,15 +111,59 @@ fn concurrent_hammer_conserves_counts_across_rotations() {
 
 #[test]
 fn windowed_counter_counts_and_rates() {
-    static C: WindowedCounter = WindowedCounter::with_slice_ns("test.counter", SLICE);
+    static C: Counter = Counter::with_slice_ns("test.counter", SLICE);
     C.add_at(0, 5);
     C.add_at(SLICE, 7);
-    assert_eq!(C.total(), 12);
+    assert_eq!(C.live_total(), 12);
     let s = C.stats_at(SLICE, Window::TenSec);
     assert_eq!(s.count, 12);
     assert!((s.rate_per_sec - 12.0 / s.window_secs).abs() < 1e-9);
     // One slice later the epoch-0 increment leaves the 2-slice window.
     assert_eq!(C.stats_at(2 * SLICE, Window::TenSec).count, 7);
+}
+
+#[test]
+fn trace_and_window_agree_on_one_metric() {
+    let _guard = serialize();
+    static H: Histogram = Histogram::with_slice_ns("test.agree_h", SLICE);
+    static C: Counter = Counter::with_slice_ns("test.agree_c", SLICE);
+    let path = std::env::temp_dir().join(format!("em_obs_live_{}_agree.jsonl", std::process::id()));
+    em_obs::set_mode(TraceMode::File(path.to_string_lossy().into_owned()));
+    live::set_enabled(true);
+    // A spread of values across 40 synthetic epochs, all inside the 5m
+    // window (60 slices) at the last epoch.
+    const EPOCHS: u64 = 40;
+    for i in 0..997u64 {
+        let t = (i % EPOCHS) * SLICE;
+        H.record_at(t, (i * i * 7919) % 1_000_003 + i % 3);
+        C.add_at(t, i % 5);
+    }
+    em_obs::flush();
+    em_obs::set_mode(TraceMode::Off);
+    live::set_enabled(false);
+
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let records = report::parse_trace(&text).expect("trace parses");
+    let find = |name: &str| {
+        records
+            .iter()
+            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} flushed"))
+    };
+    let num = |r: &Json, key: &str| r.get(key).and_then(Json::as_f64).map(|v| v as u64);
+    let w = H.stats_at((EPOCHS - 1) * SLICE, Window::FiveMin);
+    let hist = find("test.agree_h");
+    assert_eq!(num(hist, "count"), Some(w.count));
+    assert_eq!(num(hist, "p50"), w.p50);
+    assert_eq!(num(hist, "p99"), w.p99);
+    assert_eq!(num(hist, "min"), w.min);
+    assert_eq!(num(hist, "max"), w.max);
+    assert_eq!(w.count, 997);
+    assert_eq!((H.quantile(0.5), H.quantile(0.99)), (w.p50, w.p99));
+    let wc = C.stats_at((EPOCHS - 1) * SLICE, Window::FiveMin);
+    assert_eq!(num(find("test.agree_c"), "value"), Some(wc.count));
+    assert_eq!(C.value(), C.live_total());
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -167,20 +213,20 @@ fn request_log_keeps_k_worst_and_recent_samples() {
 fn disabled_live_metrics_record_nothing() {
     let _guard = serialize();
     live::set_enabled(false);
-    static H: WindowedHistogram = WindowedHistogram::new("test.disabled_h");
-    static C: WindowedCounter = WindowedCounter::new("test.disabled_c");
+    static H: Histogram = Histogram::new("test.disabled_h");
+    static C: Counter = Counter::new("test.disabled_c");
     H.record(123);
     C.incr();
-    assert_eq!(H.total_count(), 0);
-    assert_eq!(C.total(), 0);
+    assert_eq!(H.live_count(), 0);
+    assert_eq!(C.live_total(), 0);
 }
 
 #[test]
 fn render_metrics_emits_parseable_key_value_lines() {
     let _guard = serialize();
     live::set_enabled(true);
-    static H: WindowedHistogram = WindowedHistogram::new("test.render_h");
-    static C: WindowedCounter = WindowedCounter::new("test.render_c");
+    static H: Histogram = Histogram::new("test.render_h");
+    static C: Counter = Counter::new("test.render_c");
     H.record(1000);
     H.record(3000);
     C.add(4);

@@ -49,30 +49,82 @@ pub fn now_ns() -> u64 {
 /// slot (pools that large do not occur in practice).
 pub const MAX_TRACKED_THREADS: usize = 65;
 
-/// A fixed-bucket log2 histogram: bucket 0 holds zeros, bucket `i >= 1`
-/// holds values in `[2^(i-1), 2^i)`. 65 buckets cover the whole `u64`
-/// range; recording is a single relaxed `fetch_add`.
+/// Buckets in a log2 histogram: bucket 0 holds zeros, bucket `i >= 1`
+/// holds values in `[2^(i-1), 2^i)`, so 65 buckets cover the whole `u64`
+/// range.
+pub const LOG_BUCKETS: usize = 65;
+
+/// The log2 bucket holding `v` — the one bucket rule every histogram in the
+/// workspace records with.
+#[inline]
+pub fn bucket_index(v: u64) -> usize {
+    if v == 0 {
+        0
+    } else {
+        64 - v.leading_zeros() as usize
+    }
+}
+
+/// Smallest value bucket `i` holds.
+fn bucket_lower(i: usize) -> u64 {
+    if i == 0 {
+        0
+    } else {
+        1u64 << (i - 1)
+    }
+}
+
+/// Exclusive upper bound of bucket `i` (saturating at `u64::MAX` for the
+/// last bucket; 0 for the zero bucket).
+fn bucket_upper(i: usize) -> u64 {
+    match i {
+        0 => 0,
+        i if i >= 64 => u64::MAX,
+        i => 1u64 << i,
+    }
+}
+
+/// Nearest-rank quantile over bucket counts: the index of the bucket
+/// holding the `ceil(q * total)`-th observation, `None` while empty.
+fn rank_bucket(buckets: &[u64], q: f64) -> Option<usize> {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    buckets.iter().position(|&n| {
+        seen += n;
+        seen >= rank
+    })
+}
+
+/// The reported quantile of a histogram whose exact observed range is
+/// `[min, max]`: the nearest-rank bucket's upper bound, clamped to that
+/// range — so when the tail shares one bucket, p99 reads the true max
+/// instead of the next power of two. `None` while empty.
+pub fn clamped_quantile(buckets: &[u64], q: f64, min: u64, max: u64) -> Option<u64> {
+    rank_bucket(buckets, q).map(|i| bucket_upper(i).clamp(min, max))
+}
+
+/// A fixed-bucket log2 histogram (see [`bucket_index`]); recording is a
+/// single relaxed `fetch_add`.
 pub struct LogHistogram {
-    buckets: [AtomicU64; 65],
+    buckets: [AtomicU64; LOG_BUCKETS],
 }
 
 impl LogHistogram {
     /// An empty histogram (usable in `static` position).
     pub const fn new() -> Self {
         LogHistogram {
-            buckets: [const { AtomicU64::new(0) }; 65],
+            buckets: [const { AtomicU64::new(0) }; LOG_BUCKETS],
         }
     }
 
     /// Count one observation of `v`.
     #[inline]
     pub fn record(&self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total observations recorded.
@@ -80,41 +132,27 @@ impl LogHistogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
+    /// Per-bucket counts, indexed as [`bucket_index`].
+    pub fn bucket_counts(&self) -> [u64; LOG_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+
     /// Non-empty buckets as `(lower_bound, count)` pairs.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
+        self.bucket_counts()
             .iter()
             .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                if n == 0 {
-                    None
-                } else {
-                    let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
-                    Some((lower, n))
-                }
-            })
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (bucket_lower(i), n))
             .collect()
     }
 
-    /// Approximate quantile (`q` in `[0, 1]`): the lower bound of the bucket
-    /// containing the `q`-th observation, or `None` if empty. Log-bucketed,
-    /// so the answer is within 2x of the true value — plenty for a p50/p99
-    /// utilization report.
+    /// Approximate quantile (`q` in `[0, 1]`): the lower bound of the
+    /// nearest-rank bucket, or `None` if empty. Log-bucketed, so the answer is
+    /// within 2x of the true value — plenty for a p50/p99 utilization
+    /// report.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Some(if i == 0 { 0 } else { 1u64 << (i - 1) });
-            }
-        }
-        None
+        rank_bucket(&self.bucket_counts(), q).map(bucket_lower)
     }
 
     fn clear(&self) {
@@ -278,6 +316,21 @@ mod tests {
         assert_eq!(h.quantile(0.99), Some(4));
         assert_eq!(h.quantile(1.0), Some(1 << 20));
         assert_eq!(LogHistogram::new().quantile(0.5), None);
+    }
+
+    #[test]
+    fn clamped_quantile_reads_bucket_upper_bound_within_observed_range() {
+        let mut buckets = [0u64; LOG_BUCKETS];
+        for v in [100, 200, 4000] {
+            buckets[bucket_index(v)] += 1;
+        }
+        // 2nd of three lands in [128, 256): upper bound 256.
+        assert_eq!(clamped_quantile(&buckets, 0.5, 100, 4000), Some(256));
+        // The tail bucket [2048, 4096) clamps to the observed max.
+        assert_eq!(clamped_quantile(&buckets, 0.99, 100, 4000), Some(4000));
+        assert_eq!(clamped_quantile(&[0; LOG_BUCKETS], 0.5, 0, 0), None);
+        assert_eq!(bucket_upper(bucket_index(u64::MAX)), u64::MAX);
+        assert_eq!(bucket_upper(bucket_index(0)), 0);
     }
 
     #[test]

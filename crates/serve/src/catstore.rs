@@ -30,7 +30,9 @@
 //! silently wrong record), then scans the uncommitted tail frame by
 //! frame: complete valid frames are recovered as appended rows, a torn
 //! final frame is dropped and truncated away, and any *interior* damage —
-//! malformed header, CRC mismatch, missing terminator — is a hard error.
+//! malformed header, a length field that runs past a later frame, CRC
+//! mismatch, missing terminator — is a hard error. Both recoveries use the
+//! one frame scanner in [`crate::store`].
 //! The offset table is rebuilt from the recovered frames (it is fully
 //! redundant with `records.dat`), and the recovered state is re-committed.
 //!
@@ -51,9 +53,9 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::store::{crc32, frame, io_err, is_header_prefix, parse_hex8, HEADER_LEN};
+use crate::store::{check_body, frame, io_err, parse_header, parse_hex8, scan_frames, HEADER_LEN};
 use em_ml::jsonio;
-use em_obs::live::{Gauge, WindowedCounter, WindowedHistogram};
+use em_obs::live::Gauge;
 use em_rt::{Json, StdRng};
 use em_table::{Schema, Table, Value};
 
@@ -69,21 +71,16 @@ pub const DEFAULT_CACHE_SEED: u64 = 0xCA7A_0106;
 /// Bytes per fixed-width offset-table entry: 16 hex digits + newline.
 const IDX_ENTRY: usize = 17;
 
-/// Batched row gathers served (traced runs only).
+/// Batched row gathers served.
 static FETCHES: em_obs::Counter = em_obs::Counter::new("serve.catalog_fetches");
-/// Rows decoded from disk by gathers (traced runs only).
+/// Rows decoded from disk by gathers.
 static ROWS_READ: em_obs::Counter = em_obs::Counter::new("serve.catalog_rows_read");
-/// Per-gather latency, ns (traced runs only).
+/// Per-gather latency, ns.
 static FETCH_NS: em_obs::Histogram = em_obs::Histogram::new("serve.catalog_fetch_ns");
-/// Requested rows served from the hot-row cache (traced runs only).
+/// Requested rows served from the hot-row cache.
 static CACHE_HITS: em_obs::Counter = em_obs::Counter::new("serve.cache_hits");
-/// Requested rows that missed the hot-row cache (traced runs only).
+/// Requested rows that missed the hot-row cache.
 static CACHE_MISSES: em_obs::Counter = em_obs::Counter::new("serve.cache_misses");
-/// Windowed mirrors feeding the live `/metrics` registry.
-static W_FETCH_NS: WindowedHistogram = WindowedHistogram::new("serve.catalog_fetch_ns");
-static W_ROWS_READ: WindowedCounter = WindowedCounter::new("serve.catalog_rows_read");
-static W_CACHE_HITS: WindowedCounter = WindowedCounter::new("serve.cache_hits");
-static W_CACHE_MISSES: WindowedCounter = WindowedCounter::new("serve.cache_misses");
 /// Committed catalog rows (live-telemetry runs only).
 static G_CATALOG_ROWS: Gauge = Gauge::new("serve.catalog_rows");
 /// Current hot-row cache occupancy (live-telemetry runs only).
@@ -335,42 +332,13 @@ impl CatalogStore {
         dat.read_to_end(&mut tail)
             .map_err(|e| io_err("read", &dat_path, e))?;
         let mut recovered: Vec<u64> = Vec::new();
-        let mut pos = 0usize;
-        let valid_tail = loop {
-            if pos >= tail.len() {
-                break pos;
-            }
-            let rest = &tail[pos..];
-            if rest.len() < HEADER_LEN {
-                if is_header_prefix(rest) {
-                    break pos; // torn header
-                }
-                return Err(format!("catalog tail: corrupt frame header at byte {pos}"));
-            }
-            let header = &rest[..HEADER_LEN];
-            if !is_header_prefix(header) {
-                return Err(format!("catalog tail: corrupt frame header at byte {pos}"));
-            }
-            let len = parse_hex8(&header[0..8]).ok_or("catalog tail: bad length field")? as usize;
-            let crc = parse_hex8(&header[9..17]).ok_or("catalog tail: bad crc field")?;
-            if rest.len() < HEADER_LEN + len + 1 {
-                break pos; // torn payload
-            }
-            let payload = &rest[HEADER_LEN..HEADER_LEN + len];
-            if rest[HEADER_LEN + len] != b'\n' {
-                return Err(format!(
-                    "catalog tail: missing frame terminator at byte {pos}"
-                ));
-            }
-            if crc32(payload) != crc {
-                return Err(format!("catalog tail: crc mismatch at byte {pos}"));
-            }
+        let valid_tail = scan_frames(&tail, "catalog tail", |pos, payload| {
             // Decode now so a structurally-broken payload is rejected at
             // recovery, not at first fetch.
             row_from_payload(payload, &schema)?;
             recovered.push(committed_bytes + pos as u64);
-            pos += HEADER_LEN + len + 1;
-        };
+            Ok(())
+        })?;
         let dat_bytes = committed_bytes + valid_tail as u64;
         if dat_bytes < dat_len {
             dat.set_len(dat_bytes)
@@ -482,9 +450,7 @@ impl CatalogStore {
         fs::write(&tmp, meta.render_pretty(2) + "\n").map_err(|e| io_err("write", &tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
         self.committed_rows = self.rows;
-        if em_obs::live::enabled() {
-            G_CATALOG_ROWS.set(u64::from(self.rows));
-        }
+        G_CATALOG_ROWS.set(u64::from(self.rows));
         Ok(())
     }
 
@@ -533,25 +499,24 @@ impl CatalogStore {
         self.dat_r
             .read_exact(&mut header)
             .map_err(|e| io_err("read", &dat_path, e))?;
-        if !is_header_prefix(&header) {
-            return Err(format!("records.dat: corrupt frame header for row {row}"));
-        }
-        let len = parse_hex8(&header[0..8]).ok_or("records.dat: bad length field")? as usize;
-        let crc = parse_hex8(&header[9..17]).ok_or("records.dat: bad crc field")?;
-        let mut payload = vec![0u8; len + 1];
-        self.dat_r
-            .read_exact(&mut payload)
-            .map_err(|e| io_err("read", &dat_path, e))?;
-        if payload[len] != b'\n' {
+        let (len, crc) = parse_header(&header)
+            .ok_or_else(|| format!("records.dat: corrupt frame header for row {row}"))?;
+        // Bound the length before allocating: a damaged header must not
+        // ask for up to 4 GiB.
+        if offset + (HEADER_LEN + len + 1) as u64 > self.dat_bytes {
             return Err(format!(
-                "records.dat: missing frame terminator for row {row}"
+                "records.dat: frame length {len} for row {row} runs past the end of the \
+                 file ({} bytes)",
+                self.dat_bytes
             ));
         }
-        payload.truncate(len);
-        if crc32(&payload) != crc {
-            return Err(format!("records.dat: crc mismatch for row {row}"));
-        }
-        row_from_payload(&payload, &self.schema)
+        let mut body = vec![0u8; len + 1];
+        self.dat_r
+            .read_exact(&mut body)
+            .map_err(|e| io_err("read", &dat_path, e))?;
+        let payload = check_body(&body, crc)
+            .map_err(|fault| format!("records.dat: {fault} for row {row}"))?;
+        row_from_payload(payload, &self.schema)
     }
 
     /// Batched gather: a [`Table`] whose row `i` is catalog row `rows[i]`
@@ -611,20 +576,12 @@ impl CatalogStore {
         for (row, values) in fresh {
             self.cache.insert(row, values);
         }
-        let misses = stats.requested - stats.cache_hits;
         FETCHES.incr();
         ROWS_READ.add(stats.rows_read);
         CACHE_HITS.add(stats.cache_hits);
-        CACHE_MISSES.add(misses);
-        let elapsed = started.elapsed().as_nanos() as u64;
-        FETCH_NS.record(elapsed);
-        if em_obs::live::enabled() {
-            W_FETCH_NS.record(elapsed);
-            W_ROWS_READ.add(stats.rows_read);
-            W_CACHE_HITS.add(stats.cache_hits);
-            W_CACHE_MISSES.add(misses);
-            G_HOT_ROWS.set(self.cache.len() as u64);
-        }
+        CACHE_MISSES.add(stats.requested - stats.cache_hits);
+        FETCH_NS.record(started.elapsed().as_nanos() as u64);
+        G_HOT_ROWS.set(self.cache.len() as u64);
         Ok((out, stats))
     }
 
@@ -819,6 +776,48 @@ mod tests {
             .map(|_| ())
             .expect_err("interior corruption must be rejected");
         assert!(err.contains("crc mismatch"), "{err}");
+
+        // Damage the first uncommitted frame's length field instead: it
+        // now runs past the end of the file, but a later frame follows, so
+        // this is interior damage too, not a torn tail to drop.
+        let mut bytes = fs::read(&dat).unwrap();
+        bytes[tail_start + HEADER_LEN] ^= 0x40; // undo the payload flip
+        bytes[tail_start] = b'f';
+        fs::write(&dat, &bytes).unwrap();
+        let err = CatalogStore::open(&dir)
+            .map(|_| ())
+            .expect_err("length-field damage must be rejected");
+        assert!(err.contains("frame length"), "{err}");
+        assert_eq!(
+            fs::read(&dat).unwrap(),
+            bytes,
+            "recovery truncated the tail"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_row_bounds_a_damaged_length_before_allocating() {
+        let dir = temp_dir("bound");
+        let _ = fs::remove_dir_all(&dir);
+        let rows = sample_rows();
+        let mut store = CatalogStore::create(&dir, sample_schema()).unwrap();
+        for r in &rows {
+            store.append_row(r).unwrap();
+        }
+        store.commit().unwrap();
+        let second = frame(&row_payload(&rows[0])).len();
+        drop(store);
+        // Committed frames are trusted at open and checked at read: set
+        // row 1's length field to ~4 GiB.
+        let dat = CatalogStore::dat_path(&dir);
+        let mut bytes = fs::read(&dat).unwrap();
+        bytes[second] = b'f';
+        fs::write(&dat, bytes).unwrap();
+        let mut store = CatalogStore::open(&dir).unwrap();
+        let err = store.fetch_rows(&[1]).expect_err("damaged row decoded");
+        assert!(err.contains("row 1") && err.contains("runs past"), "{err}");
+        assert_rows_eq(&store.fetch_rows(&[0, 2]).unwrap(), &rows, &[0, 2]);
         let _ = fs::remove_dir_all(&dir);
     }
 

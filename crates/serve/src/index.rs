@@ -56,19 +56,19 @@ use em_rt::Json;
 use em_table::{RecordPair, Table};
 use em_text::{intersection_size_sorted, TokenInterner};
 
-/// Catalog records upserted into the index (traced runs only).
+/// Catalog records upserted into the index.
 static UPSERTS: em_obs::Counter = em_obs::Counter::new("serve.index_upserts");
-/// Catalog records removed from the index (traced runs only).
+/// Catalog records removed from the index.
 static REMOVALS: em_obs::Counter = em_obs::Counter::new("serve.index_removals");
-/// Shard compactions triggered by stale-entry debt (traced runs only).
+/// Shard compactions triggered by stale-entry debt.
 static COMPACTIONS: em_obs::Counter = em_obs::Counter::new("serve.index_compactions");
-/// Probe candidates that needed an exact recount (traced runs only).
+/// Probe candidates that needed an exact recount.
 static STALE_RECOUNTS: em_obs::Counter = em_obs::Counter::new("serve.index_stale_recounts");
-/// Query tokens dropped by frequency pruning (traced runs only).
+/// Query tokens dropped by frequency pruning.
 static PRUNED_TOKENS: em_obs::Counter = em_obs::Counter::new("serve.index_pruned_tokens");
-/// Queries whose candidate list was capped to `top_k` (traced runs only).
+/// Queries whose candidate list was capped to `top_k`.
 static CAPPED_QUERIES: em_obs::Counter = em_obs::Counter::new("serve.index_capped_queries");
-/// (query chunk × shard) probe tasks executed (traced runs only).
+/// (query chunk × shard) probe tasks executed.
 static SHARD_PROBES: em_obs::Counter = em_obs::Counter::new("serve.index_shard_probes");
 /// Records currently contributing postings (live-telemetry runs only).
 static G_LIVE: em_obs::live::Gauge = em_obs::live::Gauge::new("serve.index_live");
@@ -434,7 +434,6 @@ impl IncrementalIndex {
                     let before = ids.len();
                     ids.retain(|&id| self.df[id as usize] as usize <= cap);
                     stats.pruned_tokens += (before - ids.len()) as u64;
-                    PRUNED_TOKENS.add((before - ids.len()) as u64);
                 }
             }
             // Fewer tokens than the threshold can never reach it.
@@ -494,7 +493,6 @@ impl IncrementalIndex {
                         // Retired entries may inflate the count: recount
                         // exactly against the record truth.
                         *task_recounts += 1;
-                        STALE_RECOUNTS.incr();
                         let Some(rec) = &self.records[row] else {
                             continue; // dead row, postings not yet compacted
                         };
@@ -538,7 +536,6 @@ impl IncrementalIndex {
                         per_query.truncate(k);
                         per_query.sort_unstable_by_key(|&(row, _)| row);
                         stats.capped_queries += 1;
-                        CAPPED_QUERIES.incr();
                     }
                 }
                 out.extend(
@@ -547,6 +544,18 @@ impl IncrementalIndex {
                         .map(|&(row, _)| RecordPair::new(q, row as usize)),
                 );
             }
+        }
+        // Counted once per probe from the returned stats, and touched only
+        // when the effect can occur (pruning configured, a query capped, a
+        // stale row recounted), so a trace lists exactly those counters.
+        if self.max_posting.is_some() {
+            PRUNED_TOKENS.add(stats.pruned_tokens);
+        }
+        if stats.capped_queries > 0 {
+            CAPPED_QUERIES.add(stats.capped_queries);
+        }
+        if stats.stale_recounts > 0 {
+            STALE_RECOUNTS.add(stats.stale_recounts);
         }
         (out, stats)
     }

@@ -55,7 +55,7 @@ use crate::index::{IncrementalIndex, ProbeStats};
 use crate::store::PersistentIndex;
 use automl_em::{FeatureCache, FittedEmPipeline};
 use em_ml::Matrix;
-use em_obs::live::{RequestLog, RequestRecord, WindowedCounter, WindowedHistogram};
+use em_obs::live::{RequestLog, RequestRecord};
 use em_rt::{Json, Receiver, Sender};
 use em_table::{RecordPair, Schema, Table};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,28 +70,18 @@ static PAIRS_SCORED: em_obs::Counter = em_obs::Counter::new("serve.pairs_scored"
 static MATCHES: em_obs::Counter = em_obs::Counter::new("serve.matches");
 /// End-to-end per-batch latency (coordinator pickup to emission), ns.
 static BATCH_NS: em_obs::Histogram = em_obs::Histogram::new("serve.batch_ns");
-
-// Windowed mirrors of the serving metrics, feeding the live `/metrics`
-// registry. Same names as the trace counters where both exist — the two
-// registries are separate sinks over the same events.
-static W_BATCHES: WindowedCounter = WindowedCounter::new("serve.batches");
-static W_BATCH_NS: WindowedHistogram = WindowedHistogram::new("serve.batch_ns");
-static W_CANDIDATES: WindowedHistogram = WindowedHistogram::new("serve.batch_candidates");
-static W_PAIRS: WindowedCounter = WindowedCounter::new("serve.pairs_scored");
-static W_MATCHES: WindowedCounter = WindowedCounter::new("serve.matches");
+/// Candidate pairs per batch.
+static BATCH_CANDIDATES: em_obs::Histogram = em_obs::Histogram::new("serve.batch_candidates");
 /// Match-score distribution of the served model, in thousandths (a score
 /// of 0.73 records as 730) so the log2 buckets resolve the [0,1] range.
-static W_SCORE_MILLI: WindowedHistogram = WindowedHistogram::new("serve.score_milli");
-static W_PRUNED: WindowedCounter = WindowedCounter::new("serve.pruned_tokens");
-static W_CAPPED: WindowedCounter = WindowedCounter::new("serve.capped_queries");
-static W_RECOUNTS: WindowedCounter = WindowedCounter::new("serve.stale_recounts");
+static SCORE_MILLI: em_obs::Histogram = em_obs::Histogram::new("serve.score_milli");
 /// Slow-query log + deterministic 1-in-16 trace sampler over request ids.
 static REQUESTS: RequestLog = RequestLog::new("serve.requests", 0x5EED_1092, 16, 8);
 /// Request ids for `match_batch` calls (stream batches use their seq).
 static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(0);
 
 /// p50/p99 of the end-to-end batch latency histogram, in nanoseconds
-/// (`None` until a traced `match_stream` run has recorded batches).
+/// (`None` until a traced serving run has recorded batches).
 pub fn batch_latency_quantiles() -> Option<(u64, u64)> {
     Some((BATCH_NS.quantile(0.5)?, BATCH_NS.quantile(0.99)?))
 }
@@ -164,7 +154,7 @@ struct BatchTelemetry {
     fetch: FetchStats,
 }
 
-/// Record one finished request into the windowed registry, the slow-query
+/// Record one finished request into the batch metrics, the slow-query
 /// log, and — for the deterministic 1-in-N sample — the JSONL trace.
 fn record_request(
     id: u64,
@@ -173,13 +163,10 @@ fn record_request(
     latency_ns: u64,
     t: BatchTelemetry,
 ) {
+    BATCHES.incr();
+    BATCH_NS.record(latency_ns);
+    BATCH_CANDIDATES.record(matches.len() as u64);
     if em_obs::live::enabled() {
-        W_BATCHES.incr();
-        W_BATCH_NS.record(latency_ns);
-        W_CANDIDATES.record(matches.len() as u64);
-        W_PRUNED.add(t.probe.pruned_tokens);
-        W_CAPPED.add(t.probe.capped_queries);
-        W_RECOUNTS.add(t.probe.stale_recounts);
         REQUESTS.record(RequestRecord {
             id,
             latency_ns,
@@ -451,7 +438,6 @@ impl Matcher {
         let t_pred = Instant::now();
         let out = score_pairs(&self.pipeline, &pairs, &features);
         let predict_ns = t_pred.elapsed().as_nanos() as u64;
-        BATCHES.incr();
         let id = NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed);
         record_request(
             id,
@@ -561,7 +547,6 @@ impl Matcher {
                     while let Some(entry) = pending.remove(&next) {
                         let (out, started, telem) = entry;
                         let latency_ns = started.elapsed().as_nanos() as u64;
-                        BATCH_NS.record(latency_ns);
                         record_request(
                             out.seq as u64,
                             out.n_queries,
@@ -596,7 +581,6 @@ impl Matcher {
                         featurize_batch(catalog, cache, &batch, &pairs);
                     accumulate_fetch(fetch_totals, fetch);
                     let featurize_ns = t_feat.elapsed().as_nanos() as u64;
-                    BATCHES.incr();
                     let job = PredictJob {
                         seq,
                         n_queries: batch.len(),
@@ -713,13 +697,9 @@ fn score_pairs(
         })
         .collect();
     MATCHES.add(out.iter().filter(|m| m.is_match).count() as u64);
-    if em_obs::live::enabled() {
-        W_PAIRS.add(out.len() as u64);
-        W_MATCHES.add(out.iter().filter(|m| m.is_match).count() as u64);
-        W_SCORE_MILLI.record_all(
-            out.iter()
-                .map(|m| (m.score.clamp(0.0, 1.0) * 1000.0).round() as u64),
-        );
-    }
+    SCORE_MILLI.record_all(
+        out.iter()
+            .map(|m| (m.score.clamp(0.0, 1.0) * 1000.0).round() as u64),
+    );
     out
 }

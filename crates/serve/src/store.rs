@@ -24,9 +24,11 @@
 //! record that is a strict prefix of a valid frame, which recovery drops
 //! (truncating the log back to the last complete record) — the index state
 //! is then exactly the pre-crash state minus the interrupted write. Any
-//! *interior* damage — a header that is not hex-and-spaces, a payload whose
-//! CRC does not match, a missing `\n` terminator — is a hard error, never a
-//! silently wrong index.
+//! *interior* damage — a header that is not hex-and-spaces, a length field
+//! that runs past a later frame, a payload whose CRC does not match, a
+//! missing `\n` terminator — is a hard error, never a silently wrong index.
+//! `scan_frames` is the one scanner both this log and the catalog
+//! store's record file recover with.
 //!
 //! Replaying an operation is idempotent (an upsert carries the record's
 //! absolute value, not a delta), so [`IndexStore::snapshot`] can rename the
@@ -41,13 +43,13 @@ use crate::IncrementalIndex;
 use em_ml::jsonio;
 use em_rt::Json;
 
-/// WAL records appended (traced runs only).
+/// WAL records appended.
 static APPENDS: em_obs::Counter = em_obs::Counter::new("serve.store_appends");
-/// Snapshots written (traced runs only).
+/// Snapshots written.
 static SNAPSHOTS: em_obs::Counter = em_obs::Counter::new("serve.store_snapshots");
-/// WAL records replayed during recovery (traced runs only).
+/// WAL records replayed during recovery.
 static REPLAYED: em_obs::Counter = em_obs::Counter::new("serve.store_replayed");
-/// Torn final records dropped during recovery (traced runs only).
+/// Torn final records dropped during recovery.
 static TORN_TAILS: em_obs::Counter = em_obs::Counter::new("serve.store_torn_tails");
 /// Operations in the log since the last snapshot (live-telemetry runs only).
 static G_WAL_RECORDS: em_obs::live::Gauge = em_obs::live::Gauge::new("serve.wal_records");
@@ -155,7 +157,7 @@ pub(crate) fn frame(payload: &str) -> Vec<u8> {
 /// True when `bytes` could be the prefix of a well-formed frame header
 /// (hex digits with spaces at offsets 8 and 17) — i.e. a torn write, not
 /// interior corruption.
-pub(crate) fn is_header_prefix(bytes: &[u8]) -> bool {
+fn is_header_prefix(bytes: &[u8]) -> bool {
     bytes.iter().enumerate().all(|(i, &b)| match i {
         8 | 17 => b == b' ',
         _ => b.is_ascii_hexdigit() && !b.is_ascii_uppercase(),
@@ -168,44 +170,85 @@ pub(crate) fn parse_hex8(bytes: &[u8]) -> Option<u32> {
     u32::from_str_radix(s, 16).ok()
 }
 
+/// Parse a complete frame header into `(payload_len, crc)`; `None` when it
+/// is not hex-and-spaces.
+pub(crate) fn parse_header(header: &[u8]) -> Option<(usize, u32)> {
+    if header.len() != HEADER_LEN || !is_header_prefix(header) {
+        return None;
+    }
+    Some((
+        parse_hex8(&header[0..8])? as usize,
+        parse_hex8(&header[9..17])?,
+    ))
+}
+
+/// Check a frame body (payload plus terminator) against its header CRC and
+/// return the payload, or what is wrong with it.
+pub(crate) fn check_body(body: &[u8], crc: u32) -> Result<&[u8], &'static str> {
+    match body.split_last() {
+        Some((b'\n', payload)) if crc32(payload) == crc => Ok(payload),
+        Some((b'\n', _)) => Err("crc mismatch"),
+        _ => Err("missing frame terminator"),
+    }
+}
+
+/// Scan `bytes` as a log of frames, handing each complete payload and its
+/// frame's byte offset to `visit`, and return the byte length of the
+/// complete-frame prefix.
+///
+/// The prefix is shorter than `bytes` only when the log ends in a torn
+/// write: a strict prefix of a frame. Payloads never contain a raw `\n`
+/// (JSON escapes it), so a frame whose length field runs past the end of
+/// the log is torn only when no `\n` follows its header; otherwise a later
+/// frame exists and the length field itself is damaged. That, and every
+/// other interior fault (malformed header, CRC mismatch, missing
+/// terminator), is an error prefixed with `what`.
+pub(crate) fn scan_frames(
+    bytes: &[u8],
+    what: &str,
+    mut visit: impl FnMut(usize, &[u8]) -> Result<(), String>,
+) -> Result<usize, String> {
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        if rest.len() < HEADER_LEN && is_header_prefix(rest) {
+            return Ok(pos); // torn header
+        }
+        let (len, crc) = rest
+            .get(..HEADER_LEN)
+            .and_then(parse_header)
+            .ok_or_else(|| format!("{what}: corrupt frame header at byte {pos}"))?;
+        let Some(body) = rest.get(HEADER_LEN..HEADER_LEN + len + 1) else {
+            if rest[HEADER_LEN..].contains(&b'\n') {
+                return Err(format!(
+                    "{what}: frame length {len} at byte {pos} runs past the next frame"
+                ));
+            }
+            return Ok(pos); // torn payload
+        };
+        let payload =
+            check_body(body, crc).map_err(|fault| format!("{what}: {fault} at byte {pos}"))?;
+        visit(pos, payload)?;
+        pos += HEADER_LEN + len + 1;
+    }
+    Ok(pos)
+}
+
 /// Replay `bytes` into `index`. Returns `(valid_len, n_replayed)`:
 /// `valid_len` is the byte length of the complete-frame prefix (shorter
 /// than `bytes.len()` only when a torn final record was dropped).
 fn replay(bytes: &[u8], index: &mut IncrementalIndex) -> Result<(u64, u64), String> {
-    let mut pos = 0usize;
     let mut replayed = 0u64;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < HEADER_LEN {
-            if is_header_prefix(rest) {
-                TORN_TAILS.incr();
-                return Ok((pos as u64, replayed)); // torn header, drop
-            }
-            return Err(format!("wal: corrupt frame header at byte {pos}"));
-        }
-        let header = &rest[..HEADER_LEN];
-        if !is_header_prefix(header) {
-            return Err(format!("wal: corrupt frame header at byte {pos}"));
-        }
-        let len = parse_hex8(&header[0..8]).ok_or("wal: bad length field")? as usize;
-        let crc = parse_hex8(&header[9..17]).ok_or("wal: bad crc field")?;
-        if rest.len() < HEADER_LEN + len + 1 {
-            TORN_TAILS.incr();
-            return Ok((pos as u64, replayed)); // torn payload, drop
-        }
-        let payload = &rest[HEADER_LEN..HEADER_LEN + len];
-        if rest[HEADER_LEN + len] != b'\n' {
-            return Err(format!("wal: missing frame terminator at byte {pos}"));
-        }
-        if crc32(payload) != crc {
-            return Err(format!("wal: crc mismatch at byte {pos}"));
-        }
+    let valid = scan_frames(bytes, "wal", |_, payload| {
         Op::from_payload(payload)?.apply(index);
         replayed += 1;
         REPLAYED.incr();
-        pos += HEADER_LEN + len + 1;
+        Ok(())
+    })?;
+    if valid < bytes.len() {
+        TORN_TAILS.incr();
     }
-    Ok((pos as u64, replayed))
+    Ok((valid as u64, replayed))
 }
 
 pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> String {

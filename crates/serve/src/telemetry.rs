@@ -44,10 +44,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use em_obs::live::{self, Gauge, WindowedCounter};
+use em_obs::live::{self, Gauge};
 
 /// `/metrics` scrapes served.
-static SCRAPES: WindowedCounter = WindowedCounter::new("em.scrapes");
+static SCRAPES: em_obs::Counter = em_obs::Counter::new("em.scrapes");
 /// Resident set size of this process, from `/proc/self/status`.
 static G_RSS: Gauge = Gauge::new("em.rss_kb");
 /// Peak resident set size of this process.

@@ -5,8 +5,9 @@
 //!    state (all frames intact) or the state just before the interrupted
 //!    write — never an error, never a corrupt index.
 //! 2. **Interior damage is rejected** — flipping payload bytes (CRC
-//!    mismatch), breaking a frame header, or losing the terminator must
-//!    fail recovery loudly instead of replaying garbage.
+//!    mismatch), breaking a frame header, damaging a length field, or
+//!    losing the terminator must fail recovery loudly instead of replaying
+//!    garbage or dropping later records.
 //! 3. **Missing snapshot is rejected**, and a recovered store keeps
 //!    accepting writes that survive another recovery.
 
@@ -146,6 +147,19 @@ fn interior_corruption_is_rejected() {
         .err()
         .expect("header damage accepted");
     assert!(err.contains("header"), "unexpected error: {err}");
+
+    // Damage the first frame's length field so it runs past the end of
+    // the log: later frames follow it, so this is interior damage, not a
+    // torn tail, and recovery must neither drop them nor truncate the log.
+    let mut damaged = wal_bytes.clone();
+    damaged[0] = b'f';
+    copy_store(&dir, &work);
+    fs::write(work.join("wal.log"), &damaged).unwrap();
+    let err = PersistentIndex::open(&work)
+        .err()
+        .expect("length-field damage accepted as a torn tail");
+    assert!(err.contains("length"), "unexpected error: {err}");
+    assert_eq!(fs::read(work.join("wal.log")).unwrap(), damaged);
 
     // Replace a frame terminator with a space: hard error.
     let mut damaged = wal_bytes.clone();
